@@ -351,7 +351,7 @@ let section_ocl () =
   run_group ~quota_s:0.4 tests
 
 let section_ablation () =
-  banner "A1: snapshot-strategy ablation (lean values vs full copies)";
+  banner "A1: snapshot size (lean values vs a full pre-state copy)";
   let contract =
     match
       Cm_contracts.Generate.contract_for ~security Cm_uml.Cinder_model.behavior
@@ -387,22 +387,17 @@ let section_ablation () =
             ] )
       ]
   in
-  (* the paper's claim: a few bytes per call regardless of state size *)
+  (* the paper's claim: a few bytes per call regardless of state size;
+     the full column is what retaining the whole pre-state would cost *)
   Printf.printf "%-12s %18s %18s\n" "#volumes" "lean snapshot" "full snapshot";
-  let lean =
-    Cm_contracts.Runtime.prepare ~strategy:Cm_contracts.Runtime.Lean contract
-  in
-  let full =
-    Cm_contracts.Runtime.prepare ~strategy:Cm_contracts.Runtime.Full contract
-  in
+  let lean = Cm_contracts.Runtime.prepare contract in
   List.iter
     (fun n ->
       let e = env n in
       Printf.printf "%-12d %15d B %15d B\n" n
         (Cm_contracts.Runtime.snapshot_bytes
            (Cm_contracts.Runtime.take_snapshot lean e))
-        (Cm_contracts.Runtime.snapshot_bytes
-           (Cm_contracts.Runtime.take_snapshot full e)))
+        (Cm_contracts.Snapshot.full_size_bytes e))
     [ 1; 10; 100; 1000 ];
   print_newline ();
   let pre_env = env 100 in
@@ -412,11 +407,7 @@ let section_ablation () =
       [ Bechamel.Test.make ~name:"lean-snapshot+post-check-100-volumes"
           (staged (fun () ->
                let s = Cm_contracts.Runtime.take_snapshot lean pre_env in
-               ignore (Cm_contracts.Runtime.check_post lean s post_env)));
-        Bechamel.Test.make ~name:"full-snapshot+post-check-100-volumes"
-          (staged (fun () ->
-               let s = Cm_contracts.Runtime.take_snapshot full pre_env in
-               ignore (Cm_contracts.Runtime.check_post full s post_env)))
+               ignore (Cm_contracts.Runtime.check_post lean s post_env)))
       ]
   in
   run_group ~quota_s:0.4 tests
@@ -457,19 +448,19 @@ let section_fastpath () =
     Json.obj
       [ ("groups", Json.list [ Json.string "proj_administrator" ]) ]
   in
-  let cinder_env =
+  let cinder_env n =
     Cm_ocl.Eval.env_of_bindings
       [ ( "project",
-          Json.obj [ ("id", Json.string "p"); ("volumes", listing 10) ] );
+          Json.obj [ ("id", Json.string "p"); ("volumes", listing n) ] );
         ("quota_sets", Json.obj [ ("volumes", Json.int 20) ]);
         ("volume", Json.obj [ ("status", Json.string "available") ]);
         ("user", admin)
       ]
   in
-  let glance_env =
+  let glance_env n =
     Cm_ocl.Eval.env_of_bindings
       [ ( "project",
-          Json.obj [ ("id", Json.string "p"); ("images", listing 10) ] );
+          Json.obj [ ("id", Json.string "p"); ("images", listing n) ] );
         ("quota_sets", Json.obj [ ("images", Json.int 20) ]);
         ("image", Json.obj [ ("status", Json.string "queued") ]);
         ("user", admin)
@@ -477,26 +468,34 @@ let section_fastpath () =
   in
   (* a full per-request check cycle — exactly the calls Monitor.handle
      makes in Oracle mode, minus the observation GETs: one observed
-     state per side, all checks against it *)
-  let check_cycle prepared env () =
-    let pre = Runtime.observe prepared env in
-    ignore (Runtime.check_pre_observed prepared pre);
-    ignore (Runtime.covered_requirements_observed prepared pre);
-    ignore (Runtime.auth_guard_tri prepared pre);
-    ignore (Runtime.functional_pre_tri prepared pre);
-    let s = Runtime.take_snapshot_observed prepared pre in
-    let post = Runtime.observe prepared env in
-    ignore (Runtime.check_post_observed prepared s post)
+     state per side, all checks against it.  Successive cycles alternate
+     between two states that differ in the [project] listing (10 vs 11
+     items), which every check but the authorization guard reads, so the
+     compiled engine's memo cannot turn the row into replays. *)
+  let check_cycle prepared make_env =
+    let envs = [| make_env 10; make_env 11 |] in
+    let k = ref 0 in
+    fun () ->
+      incr k;
+      let env = envs.(!k land 1) in
+      let pre = Runtime.observe prepared env in
+      ignore (Runtime.check_pre_observed prepared pre);
+      ignore (Runtime.covered_requirements_observed prepared pre);
+      ignore (Runtime.auth_guard_tri prepared pre);
+      ignore (Runtime.functional_pre_tri prepared pre);
+      let s = Runtime.take_snapshot_observed prepared pre in
+      let post = Runtime.observe prepared env in
+      ignore (Runtime.check_post_observed prepared s post)
   in
-  let micro name contract env =
+  let micro name contract make_env =
     let pi = Runtime.prepare ~engine:Runtime.Interpreted contract in
     let pc = Runtime.prepare ~engine:Runtime.Compiled contract in
     [ Bechamel.Test.make
         ~name:(name ^ "-check-interpreted")
-        (staged (check_cycle pi env));
+        (staged (check_cycle pi make_env));
       Bechamel.Test.make
         ~name:(name ^ "-check-compiled")
-        (staged (check_cycle pc env))
+        (staged (check_cycle pc make_env))
     ]
   in
   (* end-to-end through Monitor.handle: observation GETs included, so
@@ -558,8 +557,9 @@ let section_fastpath () =
       ("glance Monitor.handle", "glance-handle-interpreted",
        "glance-handle-compiled")
     ];
-  (* incremental engine: contract re-evaluations per request under both
-     eval modes on the standard mixed workload, plus the memoized-hit
+  (* incremental engine: contract re-evaluations per request under the
+     reference (interpreted) and compiled engines on the standard mixed
+     workload, plus the memoized-hit
      microbench (the CI allocation gate reads these rows back from
      BENCH_fastpath.json) *)
   print_newline ();

@@ -459,8 +459,8 @@ let shrink_arg =
 
 let oracle_arg =
   let doc =
-    "Which oracle to drive: all, engine, rbac, codegen, monitor, \
-     incremental, chaos, workload or journal."
+    "Which oracle to drive: all, engine, rbac, codegen, monitor, chaos, \
+     workload or journal."
   in
   Arg.(value & opt string "all" & info [ "oracle" ] ~docv:"NAME" ~doc)
 
@@ -583,11 +583,17 @@ let chaos_cmd =
 
 (* ---- replay: journal -> verdict stream, bit-identical to live ---- *)
 
+let both_engines =
+  Cloudmon.Contracts.Runtime.[ Interpreted; Compiled ]
+
+let engine_name = function
+  | Cloudmon.Contracts.Runtime.Interpreted -> "interpreted"
+  | Cloudmon.Contracts.Runtime.Compiled -> "compiled"
+
 let replay mix_name seed =
   let module W = Cloudmon.Workload in
   let module Scenario = Cloudmon.Mutation.Scenario in
   let module Jmonitor = Cm_journal.Jmonitor in
-  let module Runtime = Cloudmon.Contracts.Runtime in
   let mixes =
     if mix_name = "all" then W.mixes
     else match W.find mix_name with Some m -> [ m ] | None -> []
@@ -602,8 +608,8 @@ let replay mix_name seed =
       (fun (m : W.mix) ->
         let trace = m.W.compile ~seed in
         (* Record once live (default engine), then replay the journal on
-           a fresh cloud under both evaluation modes: all three verdict
-           streams must be bit-identical. *)
+           a fresh cloud under both engines: all three verdict streams
+           must be bit-identical. *)
         match Scenario.setup_journaled ~cross:true () with
         | Error msgs ->
           List.iter prerr_endline msgs;
@@ -614,15 +620,15 @@ let replay mix_name seed =
           let events = Scenario.journal_events jctx in
           let live = Jmonitor.journaled_verdict_lines events in
           List.iter
-            (fun (eval_name, eval) ->
-              match Scenario.replay_journal ~cross:true ~eval events with
+            (fun engine ->
+              match Scenario.replay_journal ~cross:true ~engine events with
               | Error msgs ->
                 List.iter prerr_endline msgs;
                 incr failures
               | Ok replayed ->
                 let ok = replayed = live in
                 Printf.printf "%-12s %-12s %4d verdicts  %s\n" m.W.mix_name
-                  eval_name (List.length live)
+                  (engine_name engine) (List.length live)
                   (if ok then "bit-identical" else "DIVERGED");
                 if not ok then begin
                   incr failures;
@@ -636,9 +642,7 @@ let replay mix_name seed =
                           (fun i _ -> i < List.length live)
                           replayed))
                 end)
-            [ ("full", Runtime.Full_eval);
-              ("incremental", Runtime.Incremental)
-            ])
+            both_engines)
       mixes;
     if !failures = 0 then 0 else 1
   end
@@ -652,7 +656,7 @@ let replay_cmd =
     (Cmd.info "replay"
        ~doc:
          "record a workload through the journaled monitor, replay the \
-          journal against a fresh cloud under both evaluation modes, and \
+          journal against a fresh cloud under both engines, and \
           check the verdict streams are bit-identical")
     Term.(const replay $ replay_mix_arg $ seed_arg)
 
@@ -971,7 +975,7 @@ let sb_resilience_baseline_arg =
 
 (* ---- workload: the traffic-mix DSL ---- *)
 
-let workload list_flag mix_name seed trace_flag fuzz_cases kill_flag eval_name
+let workload list_flag mix_name seed trace_flag fuzz_cases kill_flag engines
     domains chaos_flag =
   let module W = Cloudmon.Workload in
   let module Mutant = Cloudmon.Mutation.Mutant in
@@ -1040,23 +1044,11 @@ let workload list_flag mix_name seed trace_flag fuzz_cases kill_flag eval_name
   end;
   if kill_flag then begin
     ran := true;
-    let evals =
-      match eval_name with
-      | "full" -> [ Cloudmon.Contracts.Runtime.Full_eval ]
-      | "incremental" -> [ Cloudmon.Contracts.Runtime.Incremental ]
-      | _ ->
-        [ Cloudmon.Contracts.Runtime.Full_eval;
-          Cloudmon.Contracts.Runtime.Incremental
-        ]
-    in
     List.iter
-      (fun eval ->
+      (fun engine ->
         Printf.printf "=== cross kill matrix (%s, %d domains) ===\n"
-          (match eval with
-           | Cloudmon.Contracts.Runtime.Full_eval -> "full evaluation"
-           | Cloudmon.Contracts.Runtime.Incremental -> "incremental")
-          domains;
-        match Campaign.run_cross ~domains ~eval Mutant.all_extended with
+          (engine_name engine) domains;
+        match Campaign.run_cross ~domains ~engine Mutant.all_extended with
         | Error msgs ->
           List.iter prerr_endline msgs;
           incr failures
@@ -1064,7 +1056,7 @@ let workload list_flag mix_name seed trace_flag fuzz_cases kill_flag eval_name
           print_string (Campaign.kill_matrix results);
           print_newline ();
           if not (Campaign.all_killed results) then incr failures)
-      evals
+      engines
   end;
   if chaos_flag then begin
     ran := true;
@@ -1110,12 +1102,19 @@ let wl_kill_arg =
   in
   Arg.(value & flag & info [ "kill-matrix" ] ~doc)
 
-let wl_eval_arg =
+let wl_engine_arg =
   let doc =
-    "With --kill-matrix: contract evaluation mode — full, incremental, or \
-     both (default)."
+    "With --kill-matrix: contract engine — interpreted (the reference), \
+     compiled (production), or both (default)."
   in
-  Arg.(value & opt string "both" & info [ "eval" ] ~docv:"MODE" ~doc)
+  let engines =
+    Arg.enum
+      [ ("interpreted", [ Cloudmon.Contracts.Runtime.Interpreted ]);
+        ("compiled", [ Cloudmon.Contracts.Runtime.Compiled ]);
+        ("both", both_engines)
+      ]
+  in
+  Arg.(value & opt engines both_engines & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let wl_domains_arg =
   let doc = "With --kill-matrix: fan campaign entries over N domains." in
@@ -1137,7 +1136,8 @@ let workload_cmd =
           kill/chaos matrices")
     Term.(
       const workload $ wl_list_arg $ wl_mix_arg $ seed_arg $ wl_trace_arg
-      $ wl_fuzz_arg $ wl_kill_arg $ wl_eval_arg $ wl_domains_arg $ wl_chaos_arg)
+      $ wl_fuzz_arg $ wl_kill_arg $ wl_engine_arg $ wl_domains_arg
+      $ wl_chaos_arg)
 
 let serve_bench_cmd =
   Cmd.v

@@ -2,16 +2,12 @@ module Compile = Cm_ocl.Compile
 module Eval = Cm_ocl.Eval
 module Value = Cm_ocl.Value
 
-type strategy = Lean | Full
+(* [Compiled] keeps one persistent frame per contract, diffs
+   re-observed values into it ({!Compile.refresh}) and replays memoized
+   verdicts whenever the dependency slots are unchanged.  [Interpreted]
+   walks the AST on every check: the reference the compiled path is
+   differentially tested against. *)
 type engine = Interpreted | Compiled
-
-(* How observed states are (re)built between requests.  [Full_eval]
-   re-projects a fresh frame and re-evaluates every expression per
-   check, exactly as the seed engine did.  [Incremental] keeps one
-   persistent frame per contract, diffs re-observed values into it
-   ({!Compile.refresh}) and replays memoized verdicts whenever the
-   dependency slots are unchanged. *)
-type eval_mode = Full_eval | Incremental
 
 (* Everything staged once per contract at prepare time: one slot plan
    shared by all of the contract's expressions, and one tracked closure
@@ -29,8 +25,7 @@ type staged = {
          different or-chain) was never evaluated *)
   auth_guard_t : Compile.tracked option;
   branches_t : (Compile.tracked * string list) list;
-  post_lean_t : Compile.tracked;  (* rewritten post: pre(e_k) -> slot vars *)
-  post_full_t : Compile.tracked;  (* original post, against a pre frame *)
+  post_t : Compile.tracked;  (* rewritten post: pre(e_k) -> slot vars *)
   slots_t : (string * int * Compile.tracked) list;
       (* snapshot slot: name, its slot index in the plan, compiled e_k *)
   branches_mask : int;  (* union of branch dependency masks *)
@@ -45,22 +40,19 @@ type staged = {
 type counters = { mutable evals : int; mutable replays : int }
 
 (* An observed state: the interpreter environment as delivered by the
-   observer, plus its projection onto the contract's frame.  In
-   [Full_eval] mode a fresh record per observation; in [Incremental]
-   mode one record per contract, refreshed in place. *)
+   observer, plus its projection onto the contract's frame.  One record
+   per contract, refreshed in place. *)
 type observed = {
   mutable env : Eval.env;
   frame : Compile.frame;
 }
 
-type snapshot =
-  | Lean_values of Snapshot.taken
-  | Full_state of observed
+(* The values of the postcondition's [pre(...)] subterms, by slot. *)
+type snapshot = Snapshot.taken
 
 (* Persistent incremental-evaluation state of one prepared contract. *)
 type inc = {
   memo : Compile.memo;
-  frame : Compile.frame;
   obs : observed;
   mutable covered_stamp : int;  (* epoch of the cached covered list; -1 = none *)
   mutable covered_cache : string list;
@@ -83,15 +75,13 @@ type subscription = {
 
 type prepared = {
   contract : Contract.t;
-  strategy : strategy;
   engine : engine;
-  eval_mode : eval_mode;
   compiled : Snapshot.compiled;
   staged : staged;
   footprint : Cm_ocl.Footprint.t;
   subscription : subscription option;
   counters : counters;
-  inc : inc option;
+  inc : inc;
 }
 
 (* The read-set is computed over the contract's original expressions,
@@ -112,9 +102,8 @@ let contract_footprint (contract : Contract.t) =
 let tracked_mask (t : Compile.tracked) = t.Compile.mask
 let tracked_impure (t : Compile.tracked) = t.Compile.impure
 
-let stage_contract ~memoize (contract : Contract.t) (compiled : Snapshot.compiled)
-    =
-  let plan = Compile.plan ~memoize () in
+let stage_contract (contract : Contract.t) (compiled : Snapshot.compiled) =
+  let plan = Compile.plan ~memoize:true () in
   (* Stage the narrower expressions first: compile_tracked publishes each
      wrapped root into the plan's CSE table, and the precondition contains
      all of them as subtrees (pre = disj over branches of
@@ -148,29 +137,25 @@ let stage_contract ~memoize (contract : Contract.t) (compiled : Snapshot.compile
       (Cm_ocl.Simplify.disjuncts
          (Cm_ocl.Simplify.simplify contract.Contract.functional_pre))
   in
+  (* Strict disjunction over the branch guards: short-circuiting [or]
+     would leave every guard right of the deciding branch unevaluated, so
+     the covered-requirements and functional checks of the same
+     observation could not replay.  [tri_or] is total and True-absorbing,
+     so the verdict is bit-identical. *)
   let pre_t =
-    if memoize then
-      (* Strict disjunction over the branch guards: short-circuiting
-         [or] would leave every guard right of the deciding branch
-         unevaluated, so the covered-requirements and functional checks
-         of the same observation could not replay.  [tri_or] is total
-         and True-absorbing, so the verdict is bit-identical. *)
-      Compile.strict_disjunction plan
-        (List.map (Compile.compile_tracked plan)
-           (Cm_ocl.Simplify.disjuncts
-              (Cm_ocl.Simplify.simplify contract.Contract.pre)))
-    else Compile.compile_tracked plan contract.Contract.pre
+    Compile.strict_disjunction plan
+      (List.map (Compile.compile_tracked plan)
+         (Cm_ocl.Simplify.disjuncts
+            (Cm_ocl.Simplify.simplify contract.Contract.pre)))
   in
-  let post_lean_t = Compile.compile_tracked plan compiled.Snapshot.rewritten_post in
-  let post_full_t = Compile.compile_tracked plan contract.Contract.post in
+  let post_t = Compile.compile_tracked plan compiled.Snapshot.rewritten_post in
   { plan;
     pre_t;
     functional_pre_t;
     functional_disjuncts_t;
     auth_guard_t;
     branches_t;
-    post_lean_t;
-    post_full_t;
+    post_t;
     slots_t;
     branches_mask =
       List.fold_left (fun acc (t, _) -> acc lor tracked_mask t) 0 branches_t;
@@ -180,33 +165,26 @@ let stage_contract ~memoize (contract : Contract.t) (compiled : Snapshot.compile
     slots_impure = List.exists (fun (_, _, t) -> tracked_impure t) slots_t
   }
 
-let prepare ?(strategy = Lean) ?(engine = Compiled) ?(eval = Full_eval)
-    ?subscription contract =
+let prepare ?(engine = Compiled) ?subscription contract =
   let compiled = Snapshot.compile contract.Contract.post in
-  let memoize = eval = Incremental && engine = Compiled in
-  let staged = stage_contract ~memoize contract compiled in
+  let staged = stage_contract contract compiled in
+  let memo = Compile.make_memo staged.plan in
   let inc =
-    if memoize then begin
-      let memo = Compile.make_memo staged.plan in
-      let frame = Compile.memo_frame staged.plan memo in
-      Some
-        { memo;
-          frame;
-          obs = { env = Eval.env_of_bindings []; frame };
-          covered_stamp = -1;
-          covered_cache = [];
-          snap_stamp = -1;
-          snap_cache = Lean_values [];
-          refreshes = 0;
-          slots_changed = 0
-        }
-    end
-    else None
+    { memo;
+      obs =
+        { env = Eval.env_of_bindings [];
+          frame = Compile.memo_frame staged.plan memo
+        };
+      covered_stamp = -1;
+      covered_cache = [];
+      snap_stamp = -1;
+      snap_cache = [];
+      refreshes = 0;
+      slots_changed = 0
+    }
   in
   { contract;
-    strategy;
     engine;
-    eval_mode = eval;
     compiled;
     staged;
     footprint = contract_footprint contract;
@@ -216,9 +194,6 @@ let prepare ?(strategy = Lean) ?(engine = Compiled) ?(eval = Full_eval)
   }
 
 let contract p = p.contract
-let strategy p = p.strategy
-let engine p = p.engine
-let eval_mode p = p.eval_mode
 let footprint p = p.footprint
 let subscription p = p.subscription
 
@@ -247,20 +222,20 @@ let is_snap_name name =
 
 let not_snap_name name = not (is_snap_name name)
 
-let observe ?changed p env =
-  match p.inc with
-  | None -> { env; frame = Compile.frame_of_env p.staged.plan env }
-  | Some inc ->
-    inc.refreshes <- inc.refreshes + 1;
-    let sync =
-      match changed with
-      | None -> not_snap_name
-      | Some pred -> fun name -> not_snap_name name && pred name
-    in
-    let n = Compile.refresh p.staged.plan inc.memo inc.frame env ~sync in
-    inc.slots_changed <- inc.slots_changed + n;
-    inc.obs.env <- env;
-    inc.obs
+(* The interpreter reads only [env]: its frame is never refreshed. *)
+let observe p env =
+  let inc = p.inc in
+  (match p.engine with
+   | Interpreted -> ()
+   | Compiled ->
+     inc.refreshes <- inc.refreshes + 1;
+     let n =
+       Compile.refresh p.staged.plan inc.memo inc.obs.frame env
+         ~sync:not_snap_name
+     in
+     inc.slots_changed <- inc.slots_changed + n);
+  inc.obs.env <- env;
+  inc.obs
 
 let observed_env obs = obs.env
 
@@ -274,13 +249,14 @@ let verdict_of_tribool tb hint =
    replay the cached verdict when the dependency slots are clean,
    evaluate (and let the node caches restamp themselves) otherwise. *)
 let tracked_truth p (t : Compile.tracked) (obs : observed) =
-  match p.inc with
-  | Some inc when Compile.cached inc.memo t ->
+  if Compile.cached p.inc.memo t then begin
     p.counters.replays <- p.counters.replays + 1;
-    Value.truth (Compile.cached_value inc.memo t)
-  | _ ->
+    Value.truth (Compile.cached_value p.inc.memo t)
+  end
+  else begin
     p.counters.evals <- p.counters.evals + 1;
     Value.truth (Compile.eval t.Compile.run obs.frame)
+  end
 
 let check_pre_observed p obs =
   match p.engine with
@@ -300,60 +276,58 @@ let check_pre_observed p obs =
 let check_pre p env = check_pre_observed p (observe p env)
 
 let covered_requirements_observed p obs =
+  let inc = p.inc in
   match p.engine with
   | Interpreted ->
     p.counters.evals <- p.counters.evals + 1;
     Contract.active_branches p.contract obs.env
     |> List.concat_map (fun b -> b.Contract.branch_requirements)
     |> List.sort_uniq String.compare
+  | Compiled
+    when (not p.staged.branches_impure)
+         && inc.covered_stamp >= 0
+         && Compile.deps_clean inc.memo ~mask:p.staged.branches_mask
+              ~stamp:inc.covered_stamp ->
+    p.counters.replays <- p.counters.replays + 1;
+    inc.covered_cache
+  | Compiled
+    when (not p.staged.branches_impure)
+         && List.for_all
+              (fun ((t : Compile.tracked), _) -> Compile.cached inc.memo t)
+              p.staged.branches_t ->
+    (* The branch guards were already evaluated this epoch — typically
+       as subtrees of the precondition, whose staging shares their memo
+       nodes — so the covered set can be rebuilt from the node caches
+       without re-running any guard. *)
+    p.counters.replays <- p.counters.replays + 1;
+    let covered =
+      List.concat_map
+        (fun ((t : Compile.tracked), requirements) ->
+          if Value.truth (Compile.cached_value inc.memo t) = Value.True then
+            requirements
+          else [])
+        p.staged.branches_t
+      |> List.sort_uniq String.compare
+    in
+    inc.covered_stamp <- Compile.epoch inc.memo;
+    inc.covered_cache <- covered;
+    covered
   | Compiled ->
-    (match p.inc with
-     | Some inc
-       when (not p.staged.branches_impure)
-            && inc.covered_stamp >= 0
-            && Compile.deps_clean inc.memo ~mask:p.staged.branches_mask
-                 ~stamp:inc.covered_stamp ->
-       p.counters.replays <- p.counters.replays + 1;
-       inc.covered_cache
-     | Some inc
-       when (not p.staged.branches_impure)
-            && List.for_all
-                 (fun ((t : Compile.tracked), _) -> Compile.cached inc.memo t)
-                 p.staged.branches_t ->
-       (* The branch guards were already evaluated this epoch — typically
-          as subtrees of the precondition, whose staging shares their
-          memo nodes — so the covered set can be rebuilt from the node
-          caches without re-running any guard. *)
-       p.counters.replays <- p.counters.replays + 1;
-       let covered =
-         List.concat_map
-           (fun ((t : Compile.tracked), requirements) ->
-             if Value.truth (Compile.cached_value inc.memo t) = Value.True then
-               requirements
-             else [])
-           p.staged.branches_t
-         |> List.sort_uniq String.compare
-       in
-       inc.covered_stamp <- Compile.epoch inc.memo;
-       inc.covered_cache <- covered;
-       covered
-     | _ ->
-       p.counters.evals <- p.counters.evals + 1;
-       let covered =
-         List.concat_map
-           (fun ((branch_t : Compile.tracked), requirements) ->
-             if Value.truth (Compile.eval branch_t.Compile.run obs.frame) = Value.True then
-               requirements
-             else [])
-           p.staged.branches_t
-         |> List.sort_uniq String.compare
-       in
-       (match p.inc with
-        | Some inc when not p.staged.branches_impure ->
-          inc.covered_stamp <- Compile.epoch inc.memo;
-          inc.covered_cache <- covered
-        | _ -> ());
-       covered)
+    p.counters.evals <- p.counters.evals + 1;
+    let covered =
+      List.concat_map
+        (fun ((branch_t : Compile.tracked), requirements) ->
+          if Value.truth (Compile.eval branch_t.Compile.run obs.frame) = Value.True then
+            requirements
+          else [])
+        p.staged.branches_t
+      |> List.sort_uniq String.compare
+    in
+    if not p.staged.branches_impure then begin
+      inc.covered_stamp <- Compile.epoch inc.memo;
+      inc.covered_cache <- covered
+    end;
+    covered
 
 let covered_requirements p env =
   covered_requirements_observed p (observe p env)
@@ -397,109 +371,83 @@ let rec disjuncts_fold_cached memo acc = function
     else None
 
 let functional_pre_tri p obs =
+  let memo = p.inc.memo in
   match p.engine with
   | Interpreted ->
     p.counters.evals <- p.counters.evals + 1;
     Eval.check obs.env p.contract.Contract.functional_pre
-  | Compiled ->
-    (match p.inc with
-     | Some inc when not (Compile.cached inc.memo p.staged.functional_pre_t) ->
-       (* The root or-chain was not itself evaluated this epoch, but a
-          pre evaluation stamps the shared branch-guard nodes — its
-          disjuncts — so the verdict usually replays from those. *)
-       let ds = p.staged.functional_disjuncts_t in
-       if disjuncts_any_cached_true inc.memo ds then begin
+  | Compiled when not (Compile.cached memo p.staged.functional_pre_t) ->
+    (* The root or-chain was not itself evaluated this epoch, but a pre
+       evaluation stamps the shared branch-guard nodes — its disjuncts —
+       so the verdict usually replays from those. *)
+    let ds = p.staged.functional_disjuncts_t in
+    if disjuncts_any_cached_true memo ds then begin
+      p.counters.replays <- p.counters.replays + 1;
+      Value.True
+    end
+    else
+      (match disjuncts_fold_cached memo Value.False ds with
+       | Some tri ->
          p.counters.replays <- p.counters.replays + 1;
-         Value.True
-       end
-       else
-         (match disjuncts_fold_cached inc.memo Value.False ds with
-          | Some tri ->
-            p.counters.replays <- p.counters.replays + 1;
-            tri
-          | None -> tracked_truth p p.staged.functional_pre_t obs)
-     | _ -> tracked_truth p p.staged.functional_pre_t obs)
+         tri
+       | None -> tracked_truth p p.staged.functional_pre_t obs)
+  | Compiled -> tracked_truth p p.staged.functional_pre_t obs
 
 let take_snapshot_observed p obs =
-  match p.strategy, p.engine with
-  | Lean, Interpreted ->
+  let inc = p.inc in
+  match p.engine with
+  | Interpreted ->
     p.counters.evals <- p.counters.evals + 1;
-    Lean_values (Snapshot.take p.compiled obs.env)
-  | Lean, Compiled ->
-    (match p.inc with
-     | Some inc
-       when (not p.staged.slots_impure)
-            && inc.snap_stamp >= 0
-            && Compile.deps_clean inc.memo ~mask:p.staged.slots_mask
-                 ~stamp:inc.snap_stamp ->
-       p.counters.replays <- p.counters.replays + 1;
-       inc.snap_cache
-     | Some inc
-       when (not p.staged.slots_impure)
-            && List.for_all
-                 (fun (_, _, (t : Compile.tracked)) -> Compile.cached inc.memo t)
-                 p.staged.slots_t ->
-       (* Every slot expression was already evaluated this epoch — the
-          branch guards and quota atoms it snapshots are subtrees of the
-          precondition, whose staging shares their memo nodes — so the
-          snapshot values can be read back from the node caches. *)
-       p.counters.replays <- p.counters.replays + 1;
-       let snap =
-         Lean_values
-           (List.map
-              (fun (name, _slot, (t : Compile.tracked)) ->
-                (name, Compile.cached_value inc.memo t))
-              p.staged.slots_t)
-       in
-       inc.snap_stamp <- Compile.epoch inc.memo;
-       inc.snap_cache <- snap;
-       snap
-     | _ ->
-       p.counters.evals <- p.counters.evals + 1;
-       (* Slot expressions may themselves contain pre() (idempotent), so
-          when they do, evaluate them against a frame marked as the
-          pre-state — each slot exactly once. *)
-       let marked =
-         if p.staged.slots_impure then Compile.with_pre ~pre:obs.frame obs.frame
-         else obs.frame
-       in
-       let snap =
-         Lean_values
-           (List.map
-              (fun (name, _slot, (slot_t : Compile.tracked)) ->
-                (name, Compile.eval slot_t.Compile.run marked))
-              p.staged.slots_t)
-       in
-       (match p.inc with
-        | Some inc when not p.staged.slots_impure ->
-          inc.snap_stamp <- Compile.epoch inc.memo;
-          inc.snap_cache <- snap
-        | _ -> ());
-       snap)
-  | Full, _ ->
-    (match p.inc with
-     | Some _ ->
-       (* The persistent frame is refreshed in place; a Full snapshot
-          must detach a copy or the "pre-state" would track the present. *)
-       Full_state { env = obs.env; frame = Compile.copy_frame obs.frame }
-     | None -> Full_state obs)
+    Snapshot.take p.compiled obs.env
+  | Compiled
+    when (not p.staged.slots_impure)
+         && inc.snap_stamp >= 0
+         && Compile.deps_clean inc.memo ~mask:p.staged.slots_mask
+              ~stamp:inc.snap_stamp ->
+    p.counters.replays <- p.counters.replays + 1;
+    inc.snap_cache
+  | Compiled
+    when (not p.staged.slots_impure)
+         && List.for_all
+              (fun (_, _, (t : Compile.tracked)) -> Compile.cached inc.memo t)
+              p.staged.slots_t ->
+    (* Every slot expression was already evaluated this epoch — the
+       branch guards and quota atoms it snapshots are subtrees of the
+       precondition, whose staging shares their memo nodes — so the
+       snapshot values can be read back from the node caches. *)
+    p.counters.replays <- p.counters.replays + 1;
+    let snap =
+      List.map
+        (fun (name, _slot, (t : Compile.tracked)) ->
+          (name, Compile.cached_value inc.memo t))
+        p.staged.slots_t
+    in
+    inc.snap_stamp <- Compile.epoch inc.memo;
+    inc.snap_cache <- snap;
+    snap
+  | Compiled ->
+    p.counters.evals <- p.counters.evals + 1;
+    (* Slot expressions may themselves contain pre() (idempotent), so
+       when they do, evaluate them against a frame marked as the
+       pre-state — each slot exactly once. *)
+    let marked =
+      if p.staged.slots_impure then Compile.with_pre ~pre:obs.frame obs.frame
+      else obs.frame
+    in
+    let snap =
+      List.map
+        (fun (name, _slot, (slot_t : Compile.tracked)) ->
+          (name, Compile.eval slot_t.Compile.run marked))
+        p.staged.slots_t
+    in
+    if not p.staged.slots_impure then begin
+      inc.snap_stamp <- Compile.epoch inc.memo;
+      inc.snap_cache <- snap
+    end;
+    snap
 
 let take_snapshot p env = take_snapshot_observed p (observe p env)
-
-let snapshot_bytes = function
-  | Lean_values taken -> Snapshot.size_bytes taken
-  | Full_state obs -> Snapshot.full_size_bytes obs.env
-
-(* Lean snapshots are plain (slot, value) lists, which makes them
-   serializable — the crash-recovery journal persists them as the
-   durable pre-image of a forwarded request.  Full-state snapshots hold
-   a live evaluation frame and cannot round-trip through bytes. *)
-let snapshot_values = function
-  | Lean_values taken -> Some taken
-  | Full_state _ -> None
-
-let snapshot_of_values taken = Lean_values taken
-
+let snapshot_bytes = Snapshot.size_bytes
 let post_hint = "postcondition undefined"
 
 (* Allocation-free lookup of a captured slot value (assoc lists here
@@ -515,27 +463,14 @@ let rec write_snap_slots frame taken = function
     write_snap_slots frame taken rest
 
 let check_post_observed p snapshot obs =
-  match snapshot, p.engine with
-  | Lean_values taken, Interpreted ->
+  match p.engine with
+  | Interpreted ->
     p.counters.evals <- p.counters.evals + 1;
-    verdict_of_tribool (Snapshot.check_post_lean p.compiled taken obs.env) post_hint
-  | Lean_values taken, Compiled ->
-    write_snap_slots obs.frame taken p.staged.slots_t;
-    (match tracked_truth p p.staged.post_lean_t obs with
-     | Value.True -> Eval.Holds
-     | Value.False -> Eval.Violated
-     | Value.Unknown -> Eval.Undefined_verdict post_hint)
-  | Full_state pre, Interpreted ->
-    p.counters.evals <- p.counters.evals + 1;
-    verdict_of_tribool
-      (Snapshot.check_post_full p.contract.Contract.post ~pre:pre.env obs.env)
+    verdict_of_tribool (Snapshot.check_post_lean p.compiled snapshot obs.env)
       post_hint
-  | Full_state pre, Compiled ->
-    p.counters.evals <- p.counters.evals + 1;
-    let frame = Compile.with_pre ~pre:pre.frame obs.frame in
-    verdict_of_tribool
-      (Value.truth (Compile.eval p.staged.post_full_t.Compile.run frame))
-      post_hint
+  | Compiled ->
+    write_snap_slots obs.frame snapshot p.staged.slots_t;
+    verdict_of_tribool (tracked_truth p p.staged.post_t obs) post_hint
 
 let check_post p snapshot env =
   check_post_observed p snapshot (observe p env)
@@ -553,21 +488,12 @@ type eval_stats = {
 }
 
 let eval_stats p =
-  let node_hits, node_evals, refreshes, slots_changed =
-    match p.inc with
-    | Some inc ->
-      ( Compile.memo_hits inc.memo,
-        Compile.memo_evals inc.memo,
-        inc.refreshes,
-        inc.slots_changed )
-    | None -> (0, 0, 0, 0)
-  in
   { evals = p.counters.evals;
     replays = p.counters.replays;
-    node_hits;
-    node_evals;
-    refreshes;
-    slots_changed
+    node_hits = Compile.memo_hits p.inc.memo;
+    node_evals = Compile.memo_evals p.inc.memo;
+    refreshes = p.inc.refreshes;
+    slots_changed = p.inc.slots_changed
   }
 
 let reset_eval_counters p =

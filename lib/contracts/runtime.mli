@@ -6,31 +6,22 @@
     snapshot.
 
     {!prepare} stages everything that does not depend on the request —
-    snapshot plan, and (with the default {!Compiled} engine) one
-    {!Cm_ocl.Compile} closure per contract expression over a shared slot
-    plan — so the per-request work is a frame projection plus direct
-    closure calls. *)
-
-type strategy =
-  | Lean  (** snapshot only the values under [pre(...)] — the paper's *)
-  | Full  (** retain the whole pre-state environment *)
+    the snapshot plan (only the values under [pre(...)], as in the
+    paper) and one {!Cm_ocl.Compile} closure per contract expression
+    over a shared slot plan — so the per-request work is a frame diff
+    plus direct closure calls or memoized replays. *)
 
 type engine =
-  | Interpreted  (** walk the AST with {!Cm_ocl.Eval} on every check *)
-  | Compiled     (** evaluate staged closures ({!Cm_ocl.Compile}) *)
-
-(** How observed states are (re)built between requests. *)
-type eval_mode =
-  | Full_eval
-      (** fresh frame per observation, every expression re-evaluated per
-          check — the seed behaviour *)
-  | Incremental
-      (** one persistent frame per contract; re-observed values are
-          diffed in ({!Cm_ocl.Compile.refresh}) and checks replay
-          memoized verdicts whenever their dependency slots are
-          unchanged.  Only effective with the {!Compiled} engine;
-          verdict-equivalent to [Full_eval] by construction (diffing is
-          value-based, not delta-trust-based). *)
+  | Interpreted
+      (** walk the AST with {!Cm_ocl.Eval} on every check — the reference
+          semantics the compiled engine is differentially tested
+          against *)
+  | Compiled
+      (** evaluate staged closures ({!Cm_ocl.Compile}) over one
+          persistent frame per contract: re-observed values are diffed
+          in ({!Cm_ocl.Compile.refresh}) and checks replay memoized
+          verdicts whenever their dependency slots are unchanged.
+          Verdict-identical to [Interpreted] (diffing is value-based) *)
 
 type subscription = {
   sub_events : (Cm_http.Meth.t * string * bool) list;
@@ -52,9 +43,8 @@ type prepared
     staged (do this once, not per request). *)
 
 val prepare :
-  ?strategy:strategy -> ?engine:engine -> ?eval:eval_mode ->
-  ?subscription:subscription -> Contract.t -> prepared
-(** Defaults: [Lean], [Compiled], [Full_eval], no subscription. *)
+  ?engine:engine -> ?subscription:subscription -> Contract.t -> prepared
+(** Defaults: [Compiled], no subscription. *)
 
 val subscription : prepared -> subscription option
 
@@ -64,9 +54,6 @@ val subscribed_to :
     Conservatively [true] when no subscription was supplied. *)
 
 val contract : prepared -> Contract.t
-val strategy : prepared -> strategy
-val engine : prepared -> engine
-val eval_mode : prepared -> eval_mode
 
 val footprint : prepared -> Cm_ocl.Footprint.t
 (** Static read-set over all of the contract's expressions (pre,
@@ -79,13 +66,11 @@ type observed
     once per observation and reuse it for every check against that
     state. *)
 
-val observe : ?changed:(string -> bool) -> prepared -> Cm_ocl.Eval.env -> observed
-(** Project an environment.  Under {!Incremental} this refreshes the
-    contract's persistent frame in place and returns the same [observed]
-    record every time.  [changed] (trusted-delta mode) marks roots the
-    caller {e proves} were untouched since the last observation: those
-    are skipped without even diffing.  Omit it — the default diffs
-    every root — unless staleness of skipped roots is acceptable. *)
+val observe : prepared -> Cm_ocl.Eval.env -> observed
+(** Project an environment.  Returns the contract's one [observed]
+    record, updated in place — an earlier observation is not valid
+    after the next.  Under {!Compiled} every root is value-diffed into
+    the persistent frame. *)
 
 val observed_env : observed -> Cm_ocl.Eval.env
 
@@ -104,24 +89,16 @@ val auth_guard_tri : prepared -> observed -> Cm_ocl.Value.tribool option
 val functional_pre_tri : prepared -> observed -> Cm_ocl.Value.tribool
 (** Truth of the functional (non-authorization) precondition. *)
 
-type snapshot
+type snapshot = Snapshot.taken
+(** The value of every [pre(...)] subterm of the postcondition, by
+    slot — plain data, so the crash-recovery journal persists it as
+    the durable pre-image of a forwarded request. *)
 
 val take_snapshot : prepared -> Cm_ocl.Eval.env -> snapshot
 val take_snapshot_observed : prepared -> observed -> snapshot
-(** Under {!Lean}, every snapshot slot is evaluated exactly once. *)
+(** Every snapshot slot is evaluated exactly once. *)
 
 val snapshot_bytes : snapshot -> int
-
-val snapshot_values : snapshot -> (string * Cm_ocl.Value.t) list option
-(** The serializable face of a {!Lean} snapshot: its (slot, value)
-    list, exactly as {!snapshot_of_values} will rebuild it.  [None] for
-    {!Full} snapshots, which hold a live frame and cannot be persisted
-    — the crash-recovery journal only runs under [Lean]. *)
-
-val snapshot_of_values : (string * Cm_ocl.Value.t) list -> snapshot
-(** Rebuild a [Lean] snapshot from journaled slot values.
-    [check_post_observed] over the result is verdict-identical to the
-    original snapshot. *)
 
 val check_post :
   prepared -> snapshot -> Cm_ocl.Eval.env -> Cm_ocl.Eval.verdict
@@ -141,9 +118,9 @@ type eval_stats = {
 }
 
 val eval_stats : prepared -> eval_stats
-(** Counters since prepare (or the last reset).  [evals]/[replays] are
-    also maintained under {!Full_eval} (where [replays] stays 0), so
-    the two modes can be compared on identical workloads. *)
+(** Counters since prepare (or the last reset).  [evals] is also
+    maintained under {!Interpreted}, where everything else stays 0, so
+    the two engines can be compared on identical workloads. *)
 
 val reset_eval_counters : prepared -> unit
 (** Resets [evals]/[replays] (the memo's node counters keep running). *)

@@ -47,22 +47,21 @@ let cross_security =
     assignment = Cm_rbac.Security_table.cinder_assignment
   }
 
-let monitor_of_models ?mode ?strategy ~service_token ?security resources
-    behavior backend =
+let monitor_of_models ?mode ~service_token ?security resources behavior
+    backend =
   let config =
-    Monitor.default_config ?mode ?strategy ~service_token ?security resources
-      behavior
+    Monitor.default_config ?mode ~service_token ?security resources behavior
   in
   Monitor.create config backend
 
-let monitor_of_xmi ?mode ?strategy ~service_token ?security xmi_text backend =
+let monitor_of_xmi ?mode ~service_token ?security xmi_text backend =
   match Cm_uml.Xmi.read xmi_text with
   | Error msg -> Error [ msg ]
   | Ok doc ->
     (match doc.Cm_uml.Xmi.behavior_models with
      | [] -> Error [ "XMI document contains no state machine" ]
      | behavior :: _ ->
-       monitor_of_models ?mode ?strategy ~service_token ?security
+       monitor_of_models ?mode ~service_token ?security
          doc.Cm_uml.Xmi.resource_model behavior backend)
 
 let django_of_xmi ~project_name ?cloud_base ?security xmi_text =

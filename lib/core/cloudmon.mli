@@ -92,7 +92,6 @@ val cross_security : Cm_contracts.Generate.security
 
 val monitor_of_models :
   ?mode:Cm_monitor.Monitor.mode ->
-  ?strategy:Cm_contracts.Runtime.strategy ->
   service_token:string ->
   ?security:Cm_contracts.Generate.security ->
   Cm_uml.Resource_model.t ->
@@ -102,7 +101,6 @@ val monitor_of_models :
 
 val monitor_of_xmi :
   ?mode:Cm_monitor.Monitor.mode ->
-  ?strategy:Cm_contracts.Runtime.strategy ->
   service_token:string ->
   ?security:Cm_contracts.Generate.security ->
   string ->

@@ -150,9 +150,8 @@ let workload spec world =
 
 (* ---- monitor pools --------------------------------------------------- *)
 
-let pool_config ?(footprint_pruning = true) ?(cache = Obs_cache.Cross_request)
-    ?eval ?resilience world =
-  Monitor.default_config ~footprint_pruning ~cache ?eval ?resilience
+let pool_config ?(cache = Obs_cache.Cross_request) ?engine ?resilience world =
+  Monitor.default_config ~cache ?engine ?resilience
     ~service_token:world.service_token
     ~service_token_for:(service_token_for world)
     ~security:
@@ -161,11 +160,8 @@ let pool_config ?(footprint_pruning = true) ?(cache = Obs_cache.Cross_request)
       }
     Cm_uml.Cinder_model.resources Cm_uml.Cinder_model.behavior
 
-let make_pool ?footprint_pruning ?cache ?eval ?resilience ~shards world backend
-    =
-  Shard.create ~shards
-    (pool_config ?footprint_pruning ?cache ?eval ?resilience world)
-    backend
+let make_pool ?cache ?engine ?resilience ~shards world backend =
+  Shard.create ~shards (pool_config ?cache ?engine ?resilience world) backend
 
 (* ---- measurements ---------------------------------------------------- *)
 
@@ -206,8 +202,9 @@ type latency = {
 }
 
 type eval_comparison = {
-  ev_full_per_req : float;  (* contract evaluations/request, Full_eval *)
-  ev_inc_per_req : float;  (* same workload, Incremental *)
+  ev_full_per_req : float;
+      (* contract evaluations/request, Interpreted (every check evaluates) *)
+  ev_inc_per_req : float;  (* same workload, Compiled (memoized) *)
   ev_reduction : float;  (* full/incremental — the >= 3x target *)
   ev_replays : int;  (* memoized verdict replays in the incremental run *)
   ev_node_hit_rate : float;  (* inner connective cache hit rate *)
@@ -229,8 +226,7 @@ type report = {
       (* best *valid* multi-domain req/s over the 1-domain req/s; 1.0
          when the host cannot run any multi-domain point *)
   rp_verdicts_consistent : bool;
-  rp_gets_baseline : float;  (* observation GETs per monitored request *)
-  rp_gets_pruned : float;
+  rp_gets_pruned : float;  (* observation GETs per monitored request *)
   rp_gets_cached : float;
   rp_cache : Obs_cache.stats;
   rp_handle_ns : float;  (* single-domain ns per monitored request *)
@@ -282,7 +278,7 @@ let run_scaling spec domains =
 
 (* GETs the monitor adds per monitored request: count every GET the
    backend sees, minus the workload's own forwarded GETs. *)
-let run_gets spec ~footprint_pruning ~cache =
+let run_gets spec ~cache =
   let world = setup spec in
   let reqs = workload spec world in
   let gets = Atomic.make 0 in
@@ -290,7 +286,7 @@ let run_gets spec ~footprint_pruning ~cache =
     if req.Request.meth = Meth.GET then Atomic.incr gets;
     Cloud.handle world.cloud req
   in
-  match make_pool ~footprint_pruning ~cache ~shards:1 world backend with
+  match make_pool ~cache ~shards:1 world backend with
   | Error msgs -> Error msgs
   | Ok pool ->
     let workload_gets =
@@ -423,10 +419,14 @@ let run_open_loop spec ~rate_per_s =
 
 (* ---- incremental vs full re-evaluation ------------------------------- *)
 
-let run_eval_count spec eval =
+(* The reference engine evaluates every check, so its count is the
+   full re-evaluation baseline the memoized compiled engine is
+   measured against. *)
+let run_eval_count spec engine =
   let world = setup spec in
   let reqs = workload spec world in
-  match make_pool ~eval ~shards:spec.projects world (Cloud.handle world.cloud)
+  match
+    make_pool ~engine ~shards:spec.projects world (Cloud.handle world.cloud)
   with
   | Error msgs -> Error msgs
   | Ok pool ->
@@ -434,7 +434,7 @@ let run_eval_count spec eval =
     Ok (Shard.eval_stats pool, List.length reqs)
 
 (* One memoized-hit check, timed and allocation-audited: prepare the
-   paper's DELETE(volume) contract incrementally, observe once, then
+   paper's DELETE(volume) contract, observe once, then
    re-check the (unchanged) precondition in a tight loop.  The loop body
    is the monitor's replay path; the audit target is zero minor-heap
    words per iteration. *)
@@ -473,7 +473,7 @@ let measure_hit ?(checks = 200_000) () =
             [ ("groups", Json.list [ Json.string "proj_administrator" ]) ] )
       ]
   in
-  let prepared = Runtime.prepare ~eval:Runtime.Incremental contract in
+  let prepared = Runtime.prepare contract in
   let obs = Runtime.observe prepared env in
   ignore (Runtime.check_pre_observed prepared obs);
   (* warm *)
@@ -489,8 +489,8 @@ let measure_hit ?(checks = 200_000) () =
 
 let run_eval_comparison spec =
   let ( let* ) = Result.bind in
-  let* full_stats, n = run_eval_count spec Cm_contracts.Runtime.Full_eval in
-  let* inc_stats, _ = run_eval_count spec Cm_contracts.Runtime.Incremental in
+  let* full_stats, n = run_eval_count spec Cm_contracts.Runtime.Interpreted in
+  let* inc_stats, _ = run_eval_count spec Cm_contracts.Runtime.Compiled in
   let per_req (s : Cm_contracts.Runtime.eval_stats) =
     float_of_int s.evals /. float_of_int n
   in
@@ -545,14 +545,9 @@ let run ?(spec = default_spec) ?(domains_list = [ 1; 2; 4 ]) ?rate
      parked pool workers would tax it (minor GCs rendezvous across all
      live domains), so drain the shared pool before measuring. *)
   Cm_core.Domain_pool.shutdown_shared ();
-  let* gets_baseline, _ =
-    run_gets spec ~footprint_pruning:false ~cache:Obs_cache.Disabled
-  in
-  let* gets_pruned, _ =
-    run_gets spec ~footprint_pruning:true ~cache:Obs_cache.Disabled
-  in
+  let* gets_pruned, _ = run_gets spec ~cache:Obs_cache.Disabled in
   let* gets_cached, cache_stats =
-    run_gets spec ~footprint_pruning:true ~cache:Obs_cache.Cross_request
+    run_gets spec ~cache:Obs_cache.Cross_request
   in
   let* handle_ns = run_handle_ns spec in
   (* Self-calibrate the open-loop rate to ~70% of the closed-loop
@@ -580,7 +575,6 @@ let run ?(spec = default_spec) ?(domains_list = [ 1; 2; 4 ]) ?rate
       rp_scaling = scaling;
       rp_speedup = speedup_of scaling;
       rp_verdicts_consistent = verdicts_consistent;
-      rp_gets_baseline = gets_baseline;
       rp_gets_pruned = gets_pruned;
       rp_gets_cached = gets_cached;
       rp_cache = cache_stats;
@@ -685,7 +679,6 @@ let render report =
       report.rp_available_domains
       (if report.rp_available_domains = 1 then "" else "s");
   line "observation GETs per request:";
-  line "  unpruned, uncached:           %.2f" report.rp_gets_baseline;
   line "  footprint-pruned:             %.2f" report.rp_gets_pruned;
   line "  pruned + cross-request cache: %.2f" report.rp_gets_cached;
   line "cache: %d hits / %d misses / %d invalidated (%.0f%% hit rate)"
@@ -787,8 +780,7 @@ let to_json report =
       ("verdicts_consistent", Json.bool report.rp_verdicts_consistent);
       ( "gets_per_request",
         Json.obj
-          [ ("baseline", Json.float report.rp_gets_baseline);
-            ("pruned", Json.float report.rp_gets_pruned);
+          [ ("pruned", Json.float report.rp_gets_pruned);
             ("pruned_cached", Json.float report.rp_gets_cached)
           ] );
       ( "cache",

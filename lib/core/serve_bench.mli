@@ -61,8 +61,10 @@ type latency = {
 
 type eval_comparison = {
   ev_full_per_req : float;
-      (** contract evaluations per request under [Full_eval] *)
-  ev_inc_per_req : float;  (** same workload under [Incremental] *)
+      (** contract evaluations per request under the [Interpreted]
+          reference engine, which evaluates every check *)
+  ev_inc_per_req : float;
+      (** same workload under the memoized [Compiled] engine *)
   ev_reduction : float;  (** full/incremental — the >= 3x target *)
   ev_replays : int;  (** memoized verdict replays, incremental run *)
   ev_node_hit_rate : float;  (** inner connective cache hit rate *)
@@ -86,10 +88,10 @@ type report = {
           (can be below 1.0); 1.0 when no multi-domain point is valid *)
   rp_verdicts_consistent : bool;
       (** verdict sequences identical at every measured domain count *)
-  rp_gets_baseline : float;
-      (** observation GETs per monitored request, no pruning, no cache *)
-  rp_gets_pruned : float;  (** with footprint pruning *)
-  rp_gets_cached : float;  (** pruning + cross-request cache *)
+  rp_gets_pruned : float;
+      (** observation GETs per monitored request, no cache (the
+          observer always prunes to the contract's read-set) *)
+  rp_gets_cached : float;  (** with the cross-request cache *)
   rp_cache : Cm_monitor.Obs_cache.stats;
   rp_handle_ns : float;  (** single-domain ns per monitored request *)
   rp_latency : latency;
@@ -138,8 +140,9 @@ val run_open_loop : spec -> rate_per_s:float -> (latency, string list) result
     positive. *)
 
 val run_eval_comparison : spec -> (eval_comparison, string list) result
-(** Replay the workload under [Full_eval] and [Incremental] and compare
-    evaluation counts; also runs the memoized-hit microbench. *)
+(** Replay the workload under the [Interpreted] reference engine and
+    the [Compiled] engine and compare evaluation counts; also runs the
+    memoized-hit microbench. *)
 
 val run_resilience_overhead :
   ?spec:spec -> unit -> (float * float * float, string list) result

@@ -127,7 +127,10 @@ let encode ev =
             ("auth", opt enc_tri image.Cm_monitor.Monitor.pi_auth);
             ("fn", enc_tri image.Cm_monitor.Monitor.pi_functional);
             ("cov", enc_strings image.Cm_monitor.Monitor.pi_covered);
-            ("snap", opt enc_snapshot image.Cm_monitor.Monitor.pi_snapshot);
+            (* the one-element-list wrapper is part of the wire format
+               existing journals were written in *)
+            ( "snap",
+              J.List [ enc_snapshot image.Cm_monitor.Monitor.pi_snapshot ] );
           ]
     | Verdict v ->
         J.Obj
@@ -181,7 +184,11 @@ let decode_json j =
       let* pi_auth = Option.bind (field "auth" j) (dec_opt dec_tri) in
       let* pi_functional = Option.bind (field "fn" j) dec_tri in
       let* pi_covered = Option.bind (field "cov" j) dec_strings in
-      let* pi_snapshot = Option.bind (field "snap" j) (dec_opt dec_snapshot) in
+      let* pi_snapshot =
+        match field "snap" j with
+        | Some (J.List [ snap ]) -> dec_snapshot snap
+        | _ -> None
+      in
       Some
         (Pre
            {

@@ -18,7 +18,12 @@
     replay can re-perform them in sequence; it carries no verdict.
 
     Serialization is line-oriented JSON — human-greppable, and decode
-    failures are soft ([None]) because a journal tail can be torn. *)
+    failures are soft ([None]) because a journal tail can be torn.
+
+    A [Pre] record's ["snap"] field is the snapshot wrapped in a
+    one-element list.  A [Pre] record with ["snap":null] — which only
+    the since-deleted whole-environment snapshot strategy could write —
+    is malformed and fails to decode. *)
 
 type verdict_record = {
   v_seq : int;

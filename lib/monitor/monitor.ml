@@ -30,16 +30,12 @@ type pre_image = {
   pi_auth : Cm_ocl.Value.tribool option;  (* None: no authorization guard *)
   pi_functional : Cm_ocl.Value.tribool;
   pi_covered : string list;
-  pi_snapshot : (string * Cm_ocl.Value.t) list option;
-      (* Lean snapshot slots; None under the Full strategy *)
+  pi_snapshot : Runtime.snapshot;
 }
 
 type config = {
   mode : mode;
-  strategy : Runtime.strategy;
   engine : Runtime.engine;
-  eval : Runtime.eval_mode;
-  trust_path_delta : bool;
   service_token : string;
   service_token_for : (string -> string option) option;
   resources : Resource_model.t;
@@ -49,7 +45,6 @@ type config = {
   resilience : Resilience.policy option;
   degradation : degradation;
   clock : Clock.t option;
-  footprint_pruning : bool;
   cache : Obs_cache.scope;
   timings : bool;
   journal_pre : (pre_image -> unit) option;
@@ -63,17 +58,14 @@ type config = {
   crash : Cm_core.Crash.t option;  (* crash-point injection sites *)
 }
 
-let default_config ?(mode = Oracle) ?(strategy = Cm_contracts.Runtime.Lean)
-    ?(engine = Cm_contracts.Runtime.Compiled)
-    ?(eval = Cm_contracts.Runtime.Incremental) ?(trust_path_delta = false)
+let default_config ?(mode = Oracle) ?(engine = Runtime.Compiled)
     ?(stability_check = false) ?resilience ?(degradation = Fail_open_logged)
-    ?clock ?(footprint_pruning = true) ?(cache = Obs_cache.Per_request)
-    ?(timings = false) ?journal_pre ?journal_barrier ?crash ~service_token
-    ?service_token_for ?security resources behavior =
-  { mode; strategy; engine; eval; trust_path_delta; service_token;
-    service_token_for; resources; behavior; security; stability_check;
-    resilience; degradation; clock; footprint_pruning; cache; timings;
-    journal_pre; journal_barrier; crash
+    ?clock ?(cache = Obs_cache.Per_request) ?(timings = false) ?journal_pre
+    ?journal_barrier ?crash ~service_token ?service_token_for ?security
+    resources behavior =
+  { mode; engine; service_token; service_token_for; resources; behavior;
+    security; stability_check; resilience; degradation; clock; cache;
+    timings; journal_pre; journal_barrier; crash
   }
 
 type t = {
@@ -104,9 +96,6 @@ type t = {
       (* path entries derived once; per request this is re-targeted with
          [with_project] (a cheap record copy) instead of re-deriving *)
   cache : Obs_cache.t option;
-  delta : Delta.t option;  (* touched-path generations (incremental mode) *)
-  delta_seen : (Behavior_model.trigger, int) Hashtbl.t;
-      (* per contract: the delta generation its frame last synced at *)
   stopwatch : Cm_core.Stopwatch.source option;
   mutable lock_base : int;
       (* instrumented-lock acquisition total at the top of [handle];
@@ -141,7 +130,6 @@ let eval_stats t =
     }
     t.prepared
 
-let delta_stats t = Option.map Delta.stats t.delta
 let flush_cache t = Option.iter Obs_cache.clear t.cache
 let uri_table t = t.entries
 let configuration t = t.config
@@ -265,8 +253,7 @@ let create config backend =
              List.map
                (fun c ->
                  ( c.Contract.trigger,
-                   Runtime.prepare ~strategy:config.strategy
-                     ~engine:config.engine ~eval:config.eval
+                   Runtime.prepare ~engine:config.engine
                      ?subscription:(subscription_for c) c ))
                contract_list
            in
@@ -304,14 +291,6 @@ let create config backend =
                ~project_id:"" entries
              |> fun o -> Observer.with_cache o cache
            in
-           let delta =
-             if config.eval = Cm_contracts.Runtime.Incremental then
-               Some
-                 (Delta.create
-                    ~context:(Observer.context_def observer_base)
-                    entries)
-             else None
-           in
            let stopwatch =
              if not config.timings then None
              else
@@ -334,8 +313,6 @@ let create config backend =
                write_templates;
                observer_base;
                cache;
-               delta;
-               delta_seen = Hashtbl.create 16;
                stopwatch;
                lock_base = 0;
                ph_observe_pre = 0.;
@@ -549,9 +526,7 @@ let observe_env ?request_body t classified prepared =
     | None -> observer
   in
   let observer =
-    if t.config.footprint_pruning then
-      Observer.with_footprint observer (Some (Runtime.footprint prepared))
-    else observer
+    Observer.with_footprint observer (Some (Runtime.footprint prepared))
   in
   fun ~fresh ~user_token ->
     Observer.env ~fresh ?item:classified.item ~bindings:classified.bindings
@@ -728,16 +703,9 @@ let invalidate_after_mutation t (req : Request.t) =
           | None -> req.Request.path)
         ]
     in
-    List.iter
-      (fun path ->
-        Option.iter
-          (fun cache -> Obs_cache.invalidate_overlapping cache path)
-          t.cache;
-        (* the same write-set feeds the touched-path generations the
-           incremental engine uses (stats always; root-skipping only
-           when [trust_path_delta]) *)
-        Option.iter (fun delta -> Delta.note delta path) t.delta)
-      paths
+    Option.iter
+      (fun cache -> List.iter (Obs_cache.invalidate_overlapping cache) paths)
+      t.cache
   end
 
 let forward t req =
@@ -951,7 +919,7 @@ let conclude t prepared req ~user_token ~make_env ~observe_now ~pre_verdict
           pi_auth = auth;
           pi_functional = functional;
           pi_covered = covered;
-          pi_snapshot = Runtime.snapshot_values snapshot
+          pi_snapshot = snapshot
         })
     t.config.journal_pre;
   let contract = Runtime.contract prepared in
@@ -1113,30 +1081,8 @@ let monitored t classified prepared req =
   let make_env =
     observe_env ?request_body:req.Request.body t classified prepared
   in
-  (* Trusted-delta mode: roots no mutation's template overlapped since
-     this contract's frame last synced are skipped without diffing.
-     [seen] is captured once — the forward in between bumps the
-     generation, so the post-observation still re-syncs everything the
-     mutation touched. *)
-  let changed =
-    match t.delta with
-    | Some d when t.config.trust_path_delta ->
-      let seen =
-        Option.value ~default:(-1)
-          (Hashtbl.find_opt t.delta_seen classified.trigger)
-      in
-      Some (fun root -> Delta.changed_since d ~seen root)
-    | _ -> None
-  in
   let observe_now () =
-    let obs =
-      Runtime.observe ?changed prepared (make_env ~fresh:false ~user_token)
-    in
-    Option.iter
-      (fun d ->
-        Hashtbl.replace t.delta_seen classified.trigger (Delta.generation d))
-      t.delta;
-    obs
+    Runtime.observe prepared (make_env ~fresh:false ~user_token)
   in
   let pre_obs = timed t `Observe_pre observe_now in
   let contract = Runtime.contract prepared in
@@ -1215,20 +1161,10 @@ let resume_inner t req (image : pre_image) =
        let observe_now () =
          Runtime.observe prepared (make_env ~fresh:false ~user_token)
        in
-       let snapshot =
-         match image.pi_snapshot with
-         | Some values -> Runtime.snapshot_of_values values
-         | None ->
-           (* Full-strategy snapshots are not journalable; snapshot the
-              current state instead (journaled monitors run Lean, so
-              this arm is a fallback, not a correctness path). *)
-           timed t `Eval_pre (fun () ->
-               Runtime.take_snapshot_observed prepared
-                 (timed t `Observe_pre observe_now))
-       in
        conclude t prepared req ~user_token ~make_env ~observe_now
          ~pre_verdict:image.pi_pre_verdict ~auth:image.pi_auth
-         ~functional:image.pi_functional ~covered:image.pi_covered ~snapshot)
+         ~functional:image.pi_functional ~covered:image.pi_covered
+         ~snapshot:image.pi_snapshot)
 
 (* Per-request exception containment.  A transport failure that escapes
    (no resilience layer configured) degrades the exchange; any other

@@ -42,9 +42,8 @@ type pre_image = {
           authorization guard *)
   pi_functional : Cm_ocl.Value.tribool;
   pi_covered : string list;
-  pi_snapshot : (string * Cm_ocl.Value.t) list option;
-      (** [Lean] snapshot slot values; [None] under the [Full] strategy
-          (whose snapshots hold a live frame and cannot be persisted) *)
+  pi_snapshot : Cm_contracts.Runtime.snapshot;
+      (** the values under the postcondition's [pre(...)] subterms *)
 }
 (** The pre-phase conclusion of a contracted request, in serializable
     form.  A crash-recovery journal persists this {e before} the
@@ -54,27 +53,15 @@ type pre_image = {
 
 type config = {
   mode : mode;
-  strategy : Cm_contracts.Runtime.strategy;
   engine : Cm_contracts.Runtime.engine;
-      (** [Compiled] (the default) checks contracts through staged
-          closures; [Interpreted] walks the AST on every check.  Both
-          produce identical verdicts — the interpreter remains as the
-          executable semantics and benchmark baseline. *)
-  eval : Cm_contracts.Runtime.eval_mode;
-      (** [Incremental] (the default, effective with [Compiled]) keeps
-          one persistent frame per contract, diffs re-observed values in
-          and replays memoized verdicts when nothing a check depends on
-          changed.  Verdict-equivalent to [Full_eval]: the diff is over
-          observed {e values}, never trusted path deltas (see
-          [trust_path_delta]). *)
-  trust_path_delta : bool;
-      (** Trust the {!Delta} touched-path analysis: roots whose
-          templates no forwarded mutation overlapped since a contract's
-          last observation are skipped without even value-diffing them.
-          Saves the per-root diff, but assumes mutations only become
-          visible through the monitor (stale or out-of-band reads may
-          then be replayed) — off by default; the value diff alone
-          already gives memoized replays. *)
+      (** [Compiled] (the default, and what production runs) checks
+          contracts through staged closures over a persistent
+          value-diffed frame, replaying memoized verdicts when nothing a
+          check depends on changed.  [Interpreted] is the reference
+          engine: it walks the AST on every check and exists so that
+          differential tests and oracles have an executable semantics
+          to compare the compiled path against.  Both produce identical
+          outcomes. *)
   service_token : string;  (** the monitor's own cloud credentials *)
   service_token_for : (string -> string option) option;
       (** Per-project service credentials: clouds scope tokens to one
@@ -105,11 +92,6 @@ type config = {
       (** The virtual clock the resilience layer times against.  Pass
           the same clock the (simulated) backend advances; when [None] a
           private clock is created (fine for latency-free backends). *)
-  footprint_pruning : bool;
-      (** Restrict observation GETs to the matched contract's static
-          read-set ({!Cm_ocl.Footprint}).  Verdict-preserving: pruned
-          state is state no contract expression can read.  On by
-          default. *)
   cache : Obs_cache.scope;
       (** Observation-cache scope.  [Per_request] (the default) reuses
           reads only within one exchange — sound under arbitrary
@@ -141,15 +123,11 @@ type config = {
 
 val default_config :
   ?mode:mode ->
-  ?strategy:Cm_contracts.Runtime.strategy ->
   ?engine:Cm_contracts.Runtime.engine ->
-  ?eval:Cm_contracts.Runtime.eval_mode ->
-  ?trust_path_delta:bool ->
   ?stability_check:bool ->
   ?resilience:Resilience.policy ->
   ?degradation:degradation ->
   ?clock:Cm_core.Clock.t ->
-  ?footprint_pruning:bool ->
   ?cache:Obs_cache.scope ->
   ?timings:bool ->
   ?journal_pre:(pre_image -> unit) ->
@@ -161,10 +139,14 @@ val default_config :
   Cm_uml.Resource_model.t ->
   Cm_uml.Behavior_model.t ->
   config
-(** Defaults: [Oracle] mode, [Lean] snapshots, [Compiled] engine,
-    [Incremental] evaluation with untrusted deltas, no stability check,
-    no resilience layer, [Fail_open_logged], footprint pruning on,
-    [Per_request] observation cache, timings off. *)
+(** Defaults: [Oracle] mode, [Compiled] engine, no stability check, no
+    resilience layer, [Fail_open_logged], [Per_request] observation
+    cache, timings off.  What is not configurable: snapshots hold only
+    the values under [pre(...)] (§V); observation GETs are always
+    pruned to the matched contract's static read-set
+    ({!Cm_ocl.Footprint}), which is verdict-preserving because pruned
+    state is state no contract expression can read; and the compiled
+    engine always evaluates incrementally. *)
 
 type t
 
@@ -200,10 +182,7 @@ val cache_stats : t -> Obs_cache.stats option
 
 val eval_stats : t -> Cm_contracts.Runtime.eval_stats
 (** Aggregated incremental-evaluation counters over every prepared
-    contract (zeros under [Full_eval] except [evals]). *)
-
-val delta_stats : t -> Delta.stats option
-(** Touched-path bookkeeping; [None] unless running incrementally. *)
+    contract (zeros under the [Interpreted] engine except [evals]). *)
 
 val flush_cache : t -> unit
 (** Drop all cached observations.  Out-of-band writers (anything that

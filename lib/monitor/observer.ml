@@ -70,7 +70,6 @@ let with_token t ~token = { t with token }
 let with_footprint t footprint = { t with footprint }
 let with_cache t cache = { t with cache }
 let project_id t = t.project_id
-let context_def t = t.context_def
 
 (* ---- footprint pruning ----------------------------------------------- *)
 

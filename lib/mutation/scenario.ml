@@ -46,9 +46,9 @@ let bootstrap () =
 (* Shared construction; [setup] instantiates it over the single-service
    Cinder models, [setup_cross] over the cross-service models and the
    extended security table. *)
-let setup_gen ~resources ~behavior ~table ~mode ~strategy ~engine ~eval
-    ~faults ~chaos:chaos_profile ~chaos_seed ~resilience ~degradation
-    ~stability_check ~footprint_pruning ~cache () =
+let setup_gen ~resources ~behavior ~table ~mode ~engine ~faults
+    ~chaos:chaos_profile ~chaos_seed ~resilience ~degradation ~stability_check
+    ~cache () =
   let clock, cloud, service_token, tokens = bootstrap () in
   Cloud.set_faults cloud faults;
   (* Chaos wraps the transport the *monitor* sees; logins above talked
@@ -71,33 +71,31 @@ let setup_gen ~resources ~behavior ~table ~mode ~strategy ~engine ~eval
     }
   in
   let config =
-    Monitor.default_config ~mode ~strategy ~engine ?eval ~stability_check
-      ?resilience ~degradation ~clock ?footprint_pruning ?cache ~service_token
-      ~security resources behavior
+    Monitor.default_config ~mode ~engine ~stability_check ?resilience
+      ~degradation ~clock ?cache ~service_token ~security resources behavior
   in
   match Monitor.create config backend with
   | Ok monitor -> Ok { cloud; monitor; tokens; clock; chaos }
   | Error msgs -> Error msgs
 
-let setup ?(mode = Monitor.Oracle) ?(strategy = Cm_contracts.Runtime.Lean)
-    ?(engine = Cm_contracts.Runtime.Compiled) ?eval
+let setup ?(mode = Monitor.Oracle) ?(engine = Cm_contracts.Runtime.Compiled)
     ?(faults = Cm_cloudsim.Faults.none) ?chaos ?chaos_seed ?resilience
     ?(degradation = Monitor.Fail_open_logged) ?(stability_check = false)
-    ?footprint_pruning ?cache () =
+    ?cache () =
   setup_gen ~resources:Cm_uml.Cinder_model.resources
     ~behavior:Cm_uml.Cinder_model.behavior ~table:Cm_rbac.Security_table.cinder
-    ~mode ~strategy ~engine ~eval ~faults ~chaos ~chaos_seed ~resilience
-    ~degradation ~stability_check ~footprint_pruning ~cache ()
+    ~mode ~engine ~faults ~chaos ~chaos_seed ~resilience ~degradation
+    ~stability_check ~cache ()
 
-let setup_cross ?(mode = Monitor.Oracle) ?(strategy = Cm_contracts.Runtime.Lean)
-    ?(engine = Cm_contracts.Runtime.Compiled) ?eval
+let setup_cross ?(mode = Monitor.Oracle)
+    ?(engine = Cm_contracts.Runtime.Compiled)
     ?(faults = Cm_cloudsim.Faults.none) ?chaos ?chaos_seed ?resilience
     ?(degradation = Monitor.Fail_open_logged) ?(stability_check = false)
-    ?footprint_pruning ?cache () =
+    ?cache () =
   setup_gen ~resources:Cm_uml.Cross_model.resources
     ~behavior:Cm_uml.Cross_model.behavior ~table:Cm_rbac.Security_table.cross
-    ~mode ~strategy ~engine ~eval ~faults ~chaos ~chaos_seed ~resilience
-    ~degradation ~stability_check ~footprint_pruning ~cache ()
+    ~mode ~engine ~faults ~chaos ~chaos_seed ~resilience ~degradation
+    ~stability_check ~cache ()
 
 let token_of ctx user =
   match List.assoc_opt user ctx.tokens with
@@ -191,7 +189,7 @@ let models cross =
       Cm_uml.Cinder_model.behavior,
       Cm_rbac.Security_table.cinder )
 
-let setup_journaled ?(cross = false) ?(mode = Monitor.Oracle) ?eval
+let setup_journaled ?(cross = false) ?(mode = Monitor.Oracle) ?engine
     ?(faults = Cm_cloudsim.Faults.none) ?chaos:chaos_profile ?chaos_seed
     ?resilience ?(batch = 8) ?(journal_seed = 7) ?crash () =
   let resources, behavior, table = models cross in
@@ -219,7 +217,7 @@ let setup_journaled ?(cross = false) ?(mode = Monitor.Oracle) ?eval
   in
   let jmake ~journal_pre ~journal_barrier ~crash () =
     let config =
-      Monitor.default_config ~mode ?eval ~clock ?resilience ~journal_pre
+      Monitor.default_config ~mode ?engine ~clock ?resilience ~journal_pre
         ~journal_barrier ?crash ~service_token ~security resources behavior
     in
     Monitor.create config backend
@@ -320,8 +318,8 @@ let jrun_trace jctx trace = Exec.run (jexec_env jctx) trace
 
 let journal_events jctx = fst (Cm_journal.Journal.scan jctx.jdevice)
 
-let replay_journal ?(cross = false) ?(mode = Monitor.Oracle) ?eval events =
-  match setup_journaled ~cross ~mode ?eval () with
+let replay_journal ?(cross = false) ?(mode = Monitor.Oracle) ?engine events =
+  match setup_journaled ~cross ~mode ?engine () with
   | Error msgs -> Error msgs
   | Ok fresh ->
     List.iter

@@ -22,16 +22,13 @@ type ctx = {
 
 val setup :
   ?mode:Cm_monitor.Monitor.mode ->
-  ?strategy:Cm_contracts.Runtime.strategy ->
   ?engine:Cm_contracts.Runtime.engine ->
-  ?eval:Cm_contracts.Runtime.eval_mode ->
   ?faults:Cm_cloudsim.Faults.set ->
   ?chaos:Cm_cloudsim.Chaos.profile ->
   ?chaos_seed:int ->
   ?resilience:Cm_monitor.Resilience.policy ->
   ?degradation:Cm_monitor.Monitor.degradation ->
   ?stability_check:bool ->
-  ?footprint_pruning:bool ->
   ?cache:Cm_monitor.Obs_cache.scope ->
   unit ->
   (ctx, string list) result
@@ -49,16 +46,13 @@ val setup :
 
 val setup_cross :
   ?mode:Cm_monitor.Monitor.mode ->
-  ?strategy:Cm_contracts.Runtime.strategy ->
   ?engine:Cm_contracts.Runtime.engine ->
-  ?eval:Cm_contracts.Runtime.eval_mode ->
   ?faults:Cm_cloudsim.Faults.set ->
   ?chaos:Cm_cloudsim.Chaos.profile ->
   ?chaos_seed:int ->
   ?resilience:Cm_monitor.Resilience.policy ->
   ?degradation:Cm_monitor.Monitor.degradation ->
   ?stability_check:bool ->
-  ?footprint_pruning:bool ->
   ?cache:Cm_monitor.Obs_cache.scope ->
   unit ->
   (ctx, string list) result
@@ -124,7 +118,7 @@ type jctx = {
 val setup_journaled :
   ?cross:bool ->
   ?mode:Cm_monitor.Monitor.mode ->
-  ?eval:Cm_contracts.Runtime.eval_mode ->
+  ?engine:Cm_contracts.Runtime.engine ->
   ?faults:Cm_cloudsim.Faults.set ->
   ?chaos:Cm_cloudsim.Chaos.profile ->
   ?chaos_seed:int ->
@@ -159,7 +153,7 @@ val journal_events : jctx -> Cm_journal.Event.t list
 val replay_journal :
   ?cross:bool ->
   ?mode:Cm_monitor.Monitor.mode ->
-  ?eval:Cm_contracts.Runtime.eval_mode ->
+  ?engine:Cm_contracts.Runtime.engine ->
   Cm_journal.Event.t list ->
   (string list, string list) result
 (** Re-execute a recorded journal against a {e fresh} same-seed cloud:

@@ -114,11 +114,6 @@ let frame_of_bindings plan bindings =
 let with_pre ~pre frame =
   { frame with pre = Some { pre with is_pre = true; memo = None } }
 
-(* Detached snapshot of a frame's current state (used by the Full
-   snapshot strategy when the underlying frame is reused in place). *)
-let copy_frame frame =
-  { slots = Array.copy frame.slots; pre = None; is_pre = false; memo = None }
-
 let write_slot frame i value = frame.slots.(i) <- value
 let read_slot frame i = frame.slots.(i)
 
@@ -521,7 +516,7 @@ let node_count plan = plan.nodes
    what the frame already holds. Only actual changes bump the epoch and
    the slot's version — unchanged slots leave all node caches valid.
    [sync] filters which frees participate (snapshot slots are written
-   separately; trusted-delta mode skips untouched roots). Returns the
+   separately). Returns the
    number of slots that changed. Allocation-free on the all-unchanged
    path. *)
 let refresh plan memo frame env ~sync =

@@ -71,11 +71,6 @@ val with_pre : pre:frame -> frame -> frame
     attached pre copy drops any memo — node caches are keyed by the
     post-state frame. *)
 
-val copy_frame : frame -> frame
-(** Detached snapshot of the frame's current slot values (no pre, no
-    memo).  Used by the Full snapshot strategy when the source frame is
-    refreshed in place between requests. *)
-
 val write_slot : frame -> int -> Value.t -> unit
 val read_slot : frame -> int -> Value.t
 
@@ -127,8 +122,8 @@ val strict_disjunction : plan -> tracked list -> tracked
 val refresh : plan -> memo -> frame -> Eval.env -> sync:(string -> bool) -> int
 (** Sync the frame's free slots from the environment, diffing with
     {!Value.same}; only actual changes bump the epoch and slot
-    versions.  [sync name = false] skips that free entirely (snapshot
-    slots; roots a trusted delta proves untouched).  Returns the number
+    versions.  [sync name = false] skips that free entirely (the
+    runtime's snapshot slots).  Returns the number
     of changed slots.  Allocation-free when nothing changed. *)
 
 val write_slot_versioned : frame -> int -> Value.t -> unit

@@ -55,12 +55,6 @@ let needs_field t ~root field =
   | Some All -> true
   | Some (Fields fs) -> List.mem field fs
 
-(* Does this footprint read any of the given roots?  Used by the
-   delta-driven evaluator to decide whether a mutation's touched-path
-   set can affect a contract at all. *)
-let intersects t touched_roots =
-  List.exists (fun (root, _) -> List.mem root touched_roots) t
-
 let is_total t root =
   match List.assoc_opt root t with Some All -> true | Some (Fields _) | None -> false
 

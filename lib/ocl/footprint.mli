@@ -45,11 +45,6 @@ val needs_field : t -> root:string -> string -> bool
 val is_total : t -> string -> bool
 (** [true] when the root is recorded as {!All}. *)
 
-val intersects : t -> string list -> bool
-(** Does the footprint read any of the given roots?  The delta-driven
-    evaluator uses this to decide whether a mutation's touched-path set
-    can affect a contract at all. *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Cm_json.Json.t

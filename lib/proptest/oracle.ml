@@ -409,24 +409,38 @@ let codegen =
 
 (* ---- monitor conformance ---- *)
 
-(* Undefined verdicts carry engine-specific fault-localization hints
-   (the interpreter names the undefined atoms, the compiler does not);
-   normalize them away — the *class* of the verdict must agree. *)
-let conf_key = function
-  | Outcome.Undefined _ -> "undefined"
-  | c -> Outcome.conformance_to_string c
-
+(* The production monitor (compiled, memoized) against the reference
+   monitor (interpreted, every check evaluated) on the same trace.  No
+   normalization: status, the full conformance string (payload
+   included), both verdicts with their undefinedness hints, the covered
+   requirement set, the detail and the snapshot size must agree
+   bit-for-bit at every exchange. *)
 let verdict_key = function
   | None -> "-"
   | Some Eval.Holds -> "H"
   | Some Eval.Violated -> "V"
-  | Some (Eval.Undefined_verdict _) -> "U"
+  | Some (Eval.Undefined_verdict hint) -> "U:" ^ hint
 
-let outcome_key (o : Outcome.t) =
-  Fmt.str "%d|%s|%s|%s|%s" o.response.Cm_http.Response.status
-    (conf_key o.conformance) (verdict_key o.pre_verdict)
+let strict_outcome_key (o : Outcome.t) =
+  Fmt.str "%d|%s|%s|%s|%s|%s|%d" o.response.Cm_http.Response.status
+    (Outcome.conformance_to_string o.conformance)
+    (verdict_key o.pre_verdict)
     (verdict_key o.post_verdict)
     (String.concat "," o.covered_requirements)
+    o.detail o.snapshot_bytes
+
+(* Where two key sequences first differ, reference side first. *)
+let first_diff a b =
+  let rec go n a b =
+    match a, b with
+    | x :: a', y :: b' ->
+      if x = y then go (n + 1) a' b'
+      else Fmt.str "exchange %d: interpreted [%s] vs compiled [%s]" n x y
+    | [], y :: _ -> Fmt.str "exchange %d only under compiled: [%s]" n y
+    | x :: _, [] -> Fmt.str "exchange %d only under interpreted: [%s]" n x
+    | [], [] -> "lengths differ"
+  in
+  go 0 a b
 
 let has_violation outcomes =
   List.exists (fun (o : Outcome.t) -> Outcome.is_violation o.conformance) outcomes
@@ -444,19 +458,10 @@ let monitor_check ~index ~mutant trace =
   | Ok ctx_i, Ok ctx_c ->
     let out_i = Trace_gen.run ctx_i trace in
     let out_c = Trace_gen.run ctx_c trace in
-    let keys_i = List.map outcome_key out_i in
-    let keys_c = List.map outcome_key out_c in
-    if keys_i <> keys_c then begin
-      let rec first_diff n a b =
-        match a, b with
-        | x :: a', y :: b' -> if x = y then first_diff (n + 1) a' b' else
-            Fmt.str "exchange %d: interpreted [%s] vs compiled [%s]" n x y
-        | [], y :: _ -> Fmt.str "exchange %d only under compiled: [%s]" n y
-        | x :: _, [] -> Fmt.str "exchange %d only under interpreted: [%s]" n x
-        | [], [] -> "lengths differ"
-      in
-      Some ("engine verdicts diverge at " ^ first_diff 0 keys_i keys_c)
-    end
+    let keys_i = List.map strict_outcome_key out_i in
+    let keys_c = List.map strict_outcome_key out_c in
+    if keys_i <> keys_c then
+      Some ("engine outcomes diverge at " ^ first_diff keys_i keys_c)
     else if has_violation out_c then
       Some "violation raised on the fault-free cloud"
     else begin
@@ -536,7 +541,7 @@ let monitor_replay (entry : Corpus.entry) =
         | Some detail -> Error detail))
 
 let monitor =
-  { name = "monitor"; weight = 1; run_case = monitor_run;
+  { name = "monitor"; weight = 3; run_case = monitor_run;
     replay = monitor_replay
   }
 
@@ -633,135 +638,15 @@ let chaos_replay (entry : Corpus.entry) =
 let chaos =
   { name = "chaos"; weight = 1; run_case = chaos_run; replay = chaos_replay }
 
-(* ---- incremental vs full evaluation ---- *)
-
-(* The delta-driven engine must be observationally identical to full
-   re-evaluation.  Both sides run the compiled engine, so unlike the
-   engine oracle no hint normalization is applied: status, the full
-   conformance string (payload included), both verdicts and the covered
-   requirement set must agree bit-for-bit at every exchange.  A mutant
-   killed under full evaluation must stay killed under incremental. *)
-let strict_outcome_key (o : Outcome.t) =
-  Fmt.str "%d|%s|%s|%s|%s" o.response.Cm_http.Response.status
-    (Outcome.conformance_to_string o.conformance)
-    (verdict_key o.pre_verdict)
-    (verdict_key o.post_verdict)
-    (String.concat "," o.covered_requirements)
-
-let incremental_check ~mutant trace =
-  match
-    ( Scenario.setup ~eval:Runtime.Full_eval (),
-      Scenario.setup ~eval:Runtime.Incremental () )
-  with
-  | Error msgs, _ | _, Error msgs ->
-    Some ("incremental setup failed: " ^ String.concat "; " msgs)
-  | Ok ctx_full, Ok ctx_inc ->
-    let out_full = Trace_gen.run ctx_full trace in
-    let out_inc = Trace_gen.run ctx_inc trace in
-    let keys_full = List.map strict_outcome_key out_full in
-    let keys_inc = List.map strict_outcome_key out_inc in
-    if keys_full <> keys_inc then begin
-      let rec first_diff n a b =
-        match a, b with
-        | x :: a', y :: b' ->
-          if x = y then first_diff (n + 1) a' b'
-          else Fmt.str "exchange %d: full [%s] vs incremental [%s]" n x y
-        | [], y :: _ -> Fmt.str "exchange %d only under incremental: [%s]" n y
-        | x :: _, [] -> Fmt.str "exchange %d only under full: [%s]" n x
-        | [], [] -> "lengths differ"
-      in
-      Some ("eval modes diverge at " ^ first_diff 0 keys_full keys_inc)
-    end
-    else begin
-      match
-        Scenario.setup ~eval:Runtime.Incremental ~faults:mutant.Mutant.faults
-          ()
-      with
-      | Error msgs -> Some ("mutant setup failed: " ^ String.concat "; " msgs)
-      | Ok ctx_m ->
-        if has_violation (Trace_gen.run ctx_m trace) then None
-        else
-          Some
-            ("mutant " ^ mutant.Mutant.name
-           ^ " survived the trace under incremental evaluation")
-    end
-
-let incremental_run ~shrink ~seed ~index ~size =
-  let rng_noise, rng_probe = case_streams ~seed index in
-  let mutants = Mutant.all in
-  let mutant = List.nth mutants (index mod List.length mutants) in
-  let noise = Trace_gen.gen_noise rng_noise ~size:(monitor_noise_size size) in
-  let tail =
-    { Trace_gen.user = "alice"; op = Trace_gen.Drain }
-    :: Trace_gen.probe_for mutant.Mutant.name rng_probe
-  in
-  let fails noise = incremental_check ~mutant (noise @ tail) in
-  match fails noise with
-  | None -> Pass
-  | Some detail0 ->
-    let shrunk, steps =
-      if shrink then
-        Shrink.minimize ~budget:30 ~candidates:Shrink.shrink_list
-          ~still_fails:(fun n -> fails n <> None)
-          noise
-      else (noise, 0)
-    in
-    let detail = Option.value ~default:detail0 (fails shrunk) in
-    let trace = shrunk @ tail in
-    Fail
-      { oracle = "incremental"; index; detail; shrink_steps = steps;
-        repr = Fmt.str "%s vs %s" mutant.Mutant.name (Trace_gen.to_string trace);
-        entry =
-          Corpus.make ~oracle:"incremental" ~seed ~index ~size
-            [ ("mutant", mutant.Mutant.name);
-              ("trace", Trace_gen.to_string trace)
-            ]
-      }
-
-let incremental_replay (entry : Corpus.entry) =
-  let mutant_name =
-    match List.assoc_opt "mutant" entry.payload with
-    | Some name -> name
-    | None ->
-      (List.nth Mutant.all (entry.index mod List.length Mutant.all)).Mutant.name
-  in
-  match Mutant.find mutant_name with
-  | None -> Error ("unknown mutant " ^ mutant_name)
-  | Some mutant ->
-    let trace_result =
-      match List.assoc_opt "trace" entry.payload with
-      | Some text -> Trace_gen.of_string text
-      | None ->
-        let rng_noise, rng_probe = case_streams ~seed:entry.seed entry.index in
-        let noise =
-          Trace_gen.gen_noise rng_noise ~size:(monitor_noise_size entry.size)
-        in
-        Ok
-          (noise
-          @ ({ Trace_gen.user = "alice"; op = Trace_gen.Drain }
-            :: Trace_gen.probe_for mutant.Mutant.name rng_probe))
-    in
-    (match trace_result with
-     | Error msg -> Error ("corpus trace does not parse: " ^ msg)
-     | Ok trace ->
-       (match incremental_check ~mutant trace with
-        | None -> Ok ()
-        | Some detail -> Error detail))
-
-let incremental =
-  { name = "incremental"; weight = 2; run_case = incremental_run;
-    replay = incremental_replay
-  }
-
 (* ---- workload DSL ---- *)
 
 (* Two halves.  Determinism: compiling the same (mix, seed) twice must
    yield bit-identical traces — the DSL draws only from its own
    splitmix stream, never from hidden global state.  Agreement:
    executing the compiled trace against the cross-service monitor must
-   produce the same strict outcome sequence under full and incremental
-   evaluation, and the baseline (no mutant) must stay violation-free:
-   every denial a mix provokes is one the cloud also refuses. *)
+   produce the same strict outcome sequence under both engines, and the
+   baseline (no mutant) must stay violation-free: every denial a mix
+   provokes is one the cloud also refuses. *)
 
 module Workload = Cm_workload.Workload
 
@@ -797,39 +682,27 @@ let workload_check ~mix_name ~wl_seed ~steps =
            wl_seed)
     else (
       match
-        ( Scenario.setup_cross ~eval:Runtime.Full_eval (),
-          Scenario.setup_cross ~eval:Runtime.Incremental () )
+        ( Scenario.setup_cross ~engine:Runtime.Interpreted (),
+          Scenario.setup_cross ~engine:Runtime.Compiled () )
       with
       | Error msgs, _ | _, Error msgs ->
         Some ("workload setup failed: " ^ String.concat "; " msgs)
-      | Ok ctx_full, Ok ctx_inc ->
-        let _ = Scenario.run_trace ctx_full trace in
-        let _ = Scenario.run_trace ctx_inc trace in
+      | Ok ctx_i, Ok ctx_c ->
+        let _ = Scenario.run_trace ctx_i trace in
+        let _ = Scenario.run_trace ctx_c trace in
         let keys ctx =
           List.map strict_outcome_key
             (Cm_monitor.Monitor.outcomes ctx.Scenario.monitor)
         in
-        let keys_full = keys ctx_full and keys_inc = keys ctx_inc in
-        if keys_full <> keys_inc then (
-          let rec first_diff n a b =
-            match a, b with
-            | x :: a', y :: b' ->
-              if x = y then first_diff (n + 1) a' b'
-              else
-                Fmt.str "exchange %d: full [%s] vs incremental [%s]" n x y
-            | [], y :: _ ->
-              Fmt.str "exchange %d only under incremental: [%s]" n y
-            | x :: _, [] -> Fmt.str "exchange %d only under full: [%s]" n x
-            | [], [] -> "lengths differ"
-          in
+        let keys_i = keys ctx_i and keys_c = keys ctx_c in
+        if keys_i <> keys_c then
           Some
-            (Fmt.str "mix %s seed %d: eval modes diverge at %s" mix_name
-               wl_seed
-               (first_diff 0 keys_full keys_inc)))
+            (Fmt.str "mix %s seed %d: engines diverge at %s" mix_name wl_seed
+               (first_diff keys_i keys_c))
         else (
           match
             Cm_monitor.Report.violations
-              (Cm_monitor.Monitor.outcomes ctx_full.Scenario.monitor)
+              (Cm_monitor.Monitor.outcomes ctx_i.Scenario.monitor)
           with
           | [] -> None
           | v :: _ ->
@@ -892,7 +765,7 @@ let workload =
 
 (* Record a workload mix through the journaled monitor, then replay the
    scanned journal against a fresh same-seed cloud under both
-   evaluation modes.  The property is bit-identity: the replayed
+   engines.  The property is bit-identity: the replayed
    verdict lines must equal the journaled ones — any hidden
    nondeterminism in tokens, sequence numbers or evaluation order shows
    up as the first diverging line. *)
@@ -921,8 +794,8 @@ let journal_check ~mix_name ~wl_seed ~steps =
        Cm_journal.Jmonitor.sync jctx.Scenario.jmon;
        let events = Scenario.journal_events jctx in
        let recorded = Cm_journal.Jmonitor.journaled_verdict_lines events in
-       let check_eval eval label =
-         match Scenario.replay_journal ~cross:true ~eval events with
+       let check_engine engine label =
+         match Scenario.replay_journal ~cross:true ~engine events with
          | Error msgs ->
            Some
              (Fmt.str "mix %s seed %d: %s replay failed: %s" mix_name
@@ -934,9 +807,9 @@ let journal_check ~mix_name ~wl_seed ~steps =
                (Fmt.str "mix %s seed %d: %s replay diverges at %s" mix_name
                   wl_seed label (journal_line_diff recorded lines))
        in
-       (match check_eval Runtime.Full_eval "full" with
+       (match check_engine Runtime.Interpreted "interpreted" with
         | Some detail -> Some detail
-        | None -> check_eval Runtime.Incremental "incremental"))
+        | None -> check_engine Runtime.Compiled "compiled"))
 
 let journal_run ~shrink ~seed ~index ~size =
   let mix_name, wl_seed, steps0 = workload_case_inputs ~seed ~index ~size in
@@ -984,6 +857,5 @@ let journal =
     replay = journal_replay
   }
 
-let all =
-  [ engine; rbac; codegen; monitor; incremental; chaos; workload; journal ]
+let all = [ engine; rbac; codegen; monitor; chaos; workload; journal ]
 let find name = List.find_opt (fun o -> o.name = name) all

@@ -13,16 +13,13 @@
       survive the printers — pretty-print/re-parse is the identity, and
       the OCL-to-Python translation of generated contracts never raises.
     - [monitor]: random request traces against the simulated cloud must
-      produce identical verdict sequences under Interpreted and Compiled
-      monitors, no violation on the fault-free cloud, and at least one
-      violation for every injected mutant (the randomized
-      generalization of the paper's three-mutant experiment).
-    - [incremental]: the same random traces must produce bit-identical
-      outcomes (status, full conformance string, verdicts, covered
-      requirements — no normalization) under [Full_eval] and
-      [Incremental] compiled monitors, and every mutant killed under
-      full re-evaluation must stay killed under delta-driven
-      evaluation.
+      produce bit-identical outcomes (status, full conformance string,
+      verdicts with their undefinedness hints, covered requirements,
+      detail, snapshot size — no normalization) under the production
+      [Compiled] monitor and the [Interpreted] reference monitor, no
+      violation on the fault-free cloud, and at least one violation for
+      every injected mutant (the randomized generalization of the
+      paper's three-mutant experiment).
 
     Every case is a pure function of [(seed, index, size)]; a failure is
     shrunk greedily and packaged as a replayable {!Corpus.entry}. *)
@@ -61,16 +58,15 @@ val chaos : t
 val workload : t
 (** Workload-DSL integrity: compiling the case's (mix, seed) twice must
     yield bit-identical traces, and executing the trace against the
-    cross-service monitor must produce identical strict outcome
-    sequences under full and incremental evaluation with a
+    cross-service monitor must produce the [monitor] oracle's strict
+    outcome sequences identically under both engines, with a
     violation-free baseline. *)
 
 val journal : t
 (** Durable-journal integrity: the case's workload mix is recorded live
     through the journaled monitor, then the scanned journal is replayed
-    against a fresh same-seed cloud under both [Full_eval] and
-    [Incremental]; the replayed verdict lines must be bit-identical to
-    the journaled ones. *)
+    against a fresh same-seed cloud under both engines; the replayed
+    verdict lines must be bit-identical to the journaled ones. *)
 
 val all : t list
 val find : string -> t option

@@ -251,36 +251,31 @@ let runtime_differential_tests =
   List.map
     (fun (service, (c : Contract.t)) ->
       let name =
-        Fmt.str "%s %a: Runtime engines agree (Lean and Full)" service
-          BM.pp_trigger c.Contract.trigger
+        Fmt.str "%s %a: Runtime engines agree" service BM.pp_trigger
+          c.Contract.trigger
       in
       Alcotest.test_case name `Quick (fun () ->
           let envs = grid c in
-          List.iter
-            (fun strategy ->
-              let pi = Runtime.prepare ~strategy ~engine:Interpreted c in
-              let pc = Runtime.prepare ~strategy ~engine:Compiled c in
-              List.iteri
-                (fun i pre_env ->
-                  let post_env =
-                    List.nth envs ((i + 1) mod List.length envs)
-                  in
-                  Alcotest.check verdict_t
-                    (Fmt.str "check_pre/seed-%d" i)
-                    (Runtime.check_pre pi pre_env)
-                    (Runtime.check_pre pc pre_env);
-                  Alcotest.(check (list string))
-                    (Fmt.str "covered/seed-%d" i)
-                    (Runtime.covered_requirements pi pre_env)
-                    (Runtime.covered_requirements pc pre_env);
-                  let si = Runtime.take_snapshot pi pre_env in
-                  let sc = Runtime.take_snapshot pc pre_env in
-                  Alcotest.check verdict_t
-                    (Fmt.str "check_post/seed-%d" i)
-                    (Runtime.check_post pi si post_env)
-                    (Runtime.check_post pc sc post_env))
-                envs)
-            [ Runtime.Lean; Runtime.Full ]))
+          let pi = Runtime.prepare ~engine:Interpreted c in
+          let pc = Runtime.prepare ~engine:Compiled c in
+          List.iteri
+            (fun i pre_env ->
+              let post_env = List.nth envs ((i + 1) mod List.length envs) in
+              Alcotest.check verdict_t
+                (Fmt.str "check_pre/seed-%d" i)
+                (Runtime.check_pre pi pre_env)
+                (Runtime.check_pre pc pre_env);
+              Alcotest.(check (list string))
+                (Fmt.str "covered/seed-%d" i)
+                (Runtime.covered_requirements pi pre_env)
+                (Runtime.covered_requirements pc pre_env);
+              let si = Runtime.take_snapshot pi pre_env in
+              let sc = Runtime.take_snapshot pc pre_env in
+              Alcotest.check verdict_t
+                (Fmt.str "check_post/seed-%d" i)
+                (Runtime.check_post pi si post_env)
+                (Runtime.check_post pc sc post_env))
+            envs))
     all_contracts
 
 (* ---- exhaustive Kleene connectives ----

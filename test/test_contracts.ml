@@ -213,19 +213,37 @@ let runtime_tests =
           (Runtime.covered_requirements prepared (env_with 0 3)));
     Alcotest.test_case "lean and full strategies agree on verdicts" `Quick
       (fun () ->
-        let lean = Runtime.prepare ~strategy:Runtime.Lean delete_contract in
-        let full = Runtime.prepare ~strategy:Runtime.Full delete_contract in
-        let pre_env = env_with 3 3 in
-        let post_env = env_with 2 3 in
-        let v_lean =
-          Runtime.check_post lean (Runtime.take_snapshot lean pre_env) post_env
+        (* the runtime snapshots only the values under pre(); the
+           semantic reference attaches the whole pre-state *)
+        let tri = function
+          | Eval.Holds -> Value.True
+          | Eval.Violated -> Value.False
+          | Eval.Undefined_verdict _ -> Value.Unknown
         in
-        let v_full =
-          Runtime.check_post full (Runtime.take_snapshot full pre_env) post_env
+        let states =
+          List.concat_map (fun n -> List.map (fun q -> env_with n q) [ 1; 2; 3; 4 ])
+            [ 0; 1; 2; 3; 4 ]
         in
-        Alcotest.(check bool) "agree" true
-          (Eval.verdict_equal v_lean v_full);
-        Alcotest.(check bool) "holds" true (v_lean = Eval.Holds))
+        List.iter
+          (fun engine ->
+            let p = Runtime.prepare ~engine delete_contract in
+            List.iter
+              (fun pre_env ->
+                let snapshot = Runtime.take_snapshot p pre_env in
+                List.iter
+                  (fun post_env ->
+                    Alcotest.(check bool) "agree" true
+                      (tri (Runtime.check_post p snapshot post_env)
+                      = Snapshot.check_post_full delete_contract.Contract.post
+                          ~pre:pre_env post_env))
+                  states)
+              states)
+          [ Runtime.Interpreted; Runtime.Compiled ];
+        let p = Runtime.prepare delete_contract in
+        Alcotest.(check bool) "holds" true
+          (Runtime.check_post p (Runtime.take_snapshot p (env_with 3 3))
+             (env_with 2 3)
+          = Eval.Holds))
   ]
 
 (* property: lean and full postcondition checking agree on all contracts

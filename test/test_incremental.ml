@@ -1,9 +1,10 @@
-(* Delta-driven incremental evaluation: the change-tracking layer of
+(* Incremental evaluation: the change-tracking layer of
    {!Cm_ocl.Compile} (slot diffing, epoch invalidation, memoized
-   replay, strict disjunction) and its end-to-end equivalence with full
-   re-evaluation through the monitor runtime.  The randomized
-   generalization of the same property lives in the fuzzer's
-   [incremental] oracle; these are the deterministic unit cases. *)
+   replay, strict disjunction) and its end-to-end equivalence, through
+   the monitor runtime, with the interpreter, which re-evaluates every
+   check.  The randomized generalization of the same property lives in
+   the fuzzer's [monitor] oracle; these are the deterministic unit
+   cases. *)
 
 module Compile = Cm_ocl.Compile
 module Eval = Cm_ocl.Eval
@@ -199,23 +200,23 @@ let outcome_key (o : Outcome.t) =
     (Outcome.conformance_to_string o.Outcome.conformance)
     (String.concat "," o.Outcome.covered_requirements)
 
-let run_standard eval =
-  match Scenario.setup ~eval () with
+let run_standard engine =
+  match Scenario.setup ~engine () with
   | Error msgs -> Alcotest.fail (String.concat "; " msgs)
   | Ok ctx ->
     Scenario.standard ctx;
     ctx
 
 let test_modes_agree_on_standard_workload () =
-  let ctx_full = run_standard Runtime.Full_eval in
-  let ctx_inc = run_standard Runtime.Incremental in
+  let ctx_full = run_standard Runtime.Interpreted in
+  let ctx_inc = run_standard Runtime.Compiled in
   let keys ctx = List.map outcome_key (Monitor.outcomes ctx.Scenario.monitor) in
   Alcotest.(check (list string))
-    "incremental outcomes identical to full re-evaluation" (keys ctx_full)
+    "incremental outcomes identical to the interpreter's" (keys ctx_full)
     (keys ctx_inc);
   let full = Monitor.eval_stats ctx_full.Scenario.monitor in
   let inc = Monitor.eval_stats ctx_inc.Scenario.monitor in
-  Alcotest.(check int) "full evaluation never replays" 0 full.Runtime.replays;
+  Alcotest.(check int) "the interpreter never replays" 0 full.Runtime.replays;
   Alcotest.(check bool)
     (Printf.sprintf "incremental replays verdicts (%d)" inc.Runtime.replays)
     true
@@ -226,8 +227,8 @@ let test_modes_agree_on_standard_workload () =
     true
     (inc.Runtime.evals < full.Runtime.evals)
 
-let kill_row eval (mutant : Cm_mutation.Mutant.t) =
-  match Scenario.setup ~eval ~faults:mutant.Cm_mutation.Mutant.faults () with
+let kill_row engine (mutant : Cm_mutation.Mutant.t) =
+  match Scenario.setup ~engine ~faults:mutant.Cm_mutation.Mutant.faults () with
   | Error msgs -> Alcotest.fail (String.concat "; " msgs)
   | Ok ctx ->
     Scenario.standard ctx;
@@ -237,14 +238,14 @@ let kill_row eval (mutant : Cm_mutation.Mutant.t) =
 
 let test_kill_matrix_identical () =
   (* The paper experiment generalized: every mutant's kill bit must be
-     identical under full and delta-driven evaluation, and every mutant
-     must actually be killed. *)
+     identical under the interpreter and incremental evaluation, and
+     every mutant must actually be killed. *)
   List.iter
     (fun (mutant : Cm_mutation.Mutant.t) ->
-      let full = kill_row Runtime.Full_eval mutant in
-      let inc = kill_row Runtime.Incremental mutant in
+      let full = kill_row Runtime.Interpreted mutant in
+      let inc = kill_row Runtime.Compiled mutant in
       Alcotest.(check bool)
-        (mutant.Cm_mutation.Mutant.name ^ " killed under full evaluation")
+        (mutant.Cm_mutation.Mutant.name ^ " killed by the interpreter")
         true full;
       Alcotest.(check bool)
         (mutant.Cm_mutation.Mutant.name ^ " kill bit preserved incrementally")

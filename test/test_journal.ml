@@ -8,8 +8,8 @@
    recovered verdict stream must be exactly-once per journaled request,
    with every durably-concluded exchange reproduced verbatim.  On top
    of that: crash-point injection at every site, journal-replay
-   bit-identity for all five workload mixes under both evaluation
-   modes, and a bounded run of the [journal] fuzz oracle. *)
+   bit-identity for all five workload mixes under both engines, and a
+   bounded run of the [journal] fuzz oracle. *)
 
 module Device = Cm_journal.Device
 module Record = Cm_journal.Record
@@ -120,6 +120,22 @@ let record_tests =
 
 (* ---- event serialization ---- *)
 
+let pre_image =
+  { Cm_monitor.Monitor.pi_pre_verdict = Cm_ocl.Eval.Holds;
+    pi_auth = Some Cm_ocl.Value.True;
+    pi_functional = Cm_ocl.Value.True;
+    pi_covered = [ "1.4" ];
+    pi_snapshot =
+      [ ("__pre0", Cm_ocl.Value.Json (Cm_json.Json.int 3));
+        ("__pre1", Cm_ocl.Value.Undef)
+      ]
+  }
+
+let pre_event = Event.Pre { seq = 7; image = pre_image }
+
+let pre_wire =
+  {|{"t":"pre","seq":7,"pre":"H","auth":["T"],"fn":"T","cov":["1.4"],"snap":[[["__pre0",["j",3]],["__pre1",["u"]]]]}|}
+
 let event_tests =
   [ Alcotest.test_case "every recorded event round-trips" `Quick (fun () ->
         let ctx = record_standard () in
@@ -155,7 +171,23 @@ let event_tests =
             match Event.decode s with
             | None -> ()
             | Some _ -> Alcotest.failf "garbage decoded: %s" s)
-          [ ""; "{}"; "[\"zzz\"]"; "[\"ver\"]"; "not json"; "[\"req\",1]" ])
+          [ ""; "{}"; "[\"zzz\"]"; "[\"ver\"]"; "not json"; "[\"req\",1]" ]);
+    (* The Pre record's bytes are pinned: recovery must keep reading
+       journals written by earlier builds, so the snapshot keeps its
+       one-element-list wrapper. *)
+    Alcotest.test_case "Pre record wire format is pinned" `Quick (fun () ->
+        Alcotest.(check string) "bytes" pre_wire (Event.encode pre_event);
+        match Event.decode pre_wire with
+        | Some (Event.Pre { seq = 7; image }) ->
+          Alcotest.(check bool) "image round-trips" true
+            (image = pre_image)
+        | _ -> Alcotest.fail "pinned Pre record does not decode");
+    Alcotest.test_case "Pre record without a snapshot is malformed" `Quick
+      (fun () ->
+        let null_snap =
+          {|{"t":"pre","seq":7,"pre":"H","auth":["T"],"fn":"T","cov":["1.4"],"snap":null}|}
+        in
+        Alcotest.(check bool) "rejected" true (Event.decode null_snap = None))
   ]
 
 (* ---- device semantics ---- *)
@@ -343,14 +375,15 @@ let replay_tests =
               (mix.Workload.mix_name ^ ": verdicts recorded") true
               (List.length recorded > 0);
             List.iter
-              (fun (eval, label) ->
+              (fun (engine, label) ->
                 let lines =
-                  require (Scenario.replay_journal ~cross:true ~eval events)
+                  require (Scenario.replay_journal ~cross:true ~engine events)
                 in
                 Alcotest.(check (list string))
                   (Printf.sprintf "%s under %s" mix.Workload.mix_name label)
                   recorded lines)
-              [ (Runtime.Full_eval, "full"); (Runtime.Incremental, "incremental")
+              [ (Runtime.Interpreted, "interpreted");
+                (Runtime.Compiled, "compiled")
               ])
           Workload.mixes)
   ]

@@ -3,7 +3,7 @@
    The determinism contract — same (mix, seed) => bit-identical trace —
    is checked over 1000 cases; the cross-service contracts are checked
    by a full kill matrix over the extended mutant catalog under both
-   evaluation modes, several domain counts, and every chaos profile. *)
+   engines, several domain counts, and every chaos profile. *)
 
 module Workload = Cm_workload.Workload
 module Exec = Cm_workload.Exec
@@ -157,30 +157,30 @@ let baseline_tests =
           [ Workload.read_heavy; Workload.churn_heavy; Workload.adversarial ])
   ]
 
-(* ---- verdict determinism across evaluation modes and domains ---- *)
+(* ---- verdict determinism across engines and domains ---- *)
 
 let determinism_tests =
   [ Alcotest.test_case
-      "cross verdict sequence identical under Full_eval and Incremental"
+      "cross verdict sequence identical under both engines"
       `Quick (fun () ->
-        let run eval =
-          let ctx = require_ctx (Scenario.setup_cross ~eval ()) in
+        let run engine =
+          let ctx = require_ctx (Scenario.setup_cross ~engine ()) in
           Scenario.cross ctx;
           conformances ctx
         in
         Alcotest.(check (list string))
-          "same verdicts" (run Runtime.Full_eval) (run Runtime.Incremental));
+          "same verdicts" (run Runtime.Interpreted) (run Runtime.Compiled));
     Alcotest.test_case
-      "mutant verdict sequence identical under Full_eval and Incremental"
+      "mutant verdict sequence identical under both engines"
       `Quick (fun () ->
         let faults = (List.hd Mutant.cross_mutants).Mutant.faults in
-        let run eval =
-          let ctx = require_ctx (Scenario.setup_cross ~eval ~faults ()) in
+        let run engine =
+          let ctx = require_ctx (Scenario.setup_cross ~engine ~faults ()) in
           Scenario.cross ctx;
           conformances ctx
         in
         Alcotest.(check (list string))
-          "same verdicts" (run Runtime.Full_eval) (run Runtime.Incremental));
+          "same verdicts" (run Runtime.Interpreted) (run Runtime.Compiled));
     Alcotest.test_case "kill matrix identical at 1, 2 and 4 domains" `Slow
       (fun () ->
         let summarise results =
@@ -227,18 +227,20 @@ let kill_tests =
         Alcotest.(check bool) "find X7" true
           (Mutant.find "X7-zombie-token" <> None));
     Alcotest.test_case
-      "full kill matrix: every mutant killed, baseline clean (Full_eval)"
+      "full kill matrix: every mutant killed, baseline clean (Interpreted)"
       `Slow (fun () ->
-        match Campaign.run_cross ~eval:Runtime.Full_eval Mutant.all_extended with
+        match
+          Campaign.run_cross ~engine:Runtime.Interpreted Mutant.all_extended
+        with
         | Error msgs -> Alcotest.fail (String.concat "; " msgs)
         | Ok results ->
           if not (Campaign.all_killed results) then
             Alcotest.fail (Campaign.kill_matrix results));
     Alcotest.test_case
-      "full kill matrix: every mutant killed, baseline clean (Incremental)"
+      "full kill matrix: every mutant killed, baseline clean (Compiled)"
       `Slow (fun () ->
         match
-          Campaign.run_cross ~eval:Runtime.Incremental Mutant.all_extended
+          Campaign.run_cross ~engine:Runtime.Compiled Mutant.all_extended
         with
         | Error msgs -> Alcotest.fail (String.concat "; " msgs)
         | Ok results ->
