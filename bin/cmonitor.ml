@@ -459,8 +459,7 @@ let shrink_arg =
 
 let oracle_arg =
   let doc =
-    "Which oracle to drive: all, engine, rbac, codegen, monitor, chaos, \
-     workload or journal."
+    "Which oracle to drive: all, engine, rbac, codegen, monitor or chaos."
   in
   Arg.(value & opt string "all" & info [ "oracle" ] ~docv:"NAME" ~doc)
 

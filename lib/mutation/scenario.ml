@@ -2,7 +2,6 @@ module Cloud = Cm_cloudsim.Cloud
 module Store = Cm_cloudsim.Store
 module Monitor = Cm_monitor.Monitor
 module Request = Cm_http.Request
-module Json = Cm_json.Json
 module Workload = Cm_workload.Workload
 module Exec = Cm_workload.Exec
 
@@ -19,11 +18,29 @@ let project = "myProject"
 let service_subject =
   Cm_rbac.Subject.make "cmonitor-svc" [ "proj_administrator" ]
 
+let models cross =
+  if cross then
+    ( Cm_uml.Cross_model.resources,
+      Cm_uml.Cross_model.behavior,
+      Cm_rbac.Security_table.cross )
+  else
+    ( Cm_uml.Cinder_model.resources,
+      Cm_uml.Cinder_model.behavior,
+      Cm_rbac.Security_table.cinder )
+
+let security table =
+  { Cm_contracts.Generate.table;
+    assignment = Cm_rbac.Security_table.cinder_assignment
+  }
+
 (* Shared bootstrap: fresh clock + seeded cloud + the paper's users
-   logged in.  Token values are deterministic (a login counter), which
-   is what lets a journal replay on a fresh same-seed cloud reuse the
-   recorded [X-Auth-Token] headers verbatim. *)
-let bootstrap () =
+   logged in, then the faults activated and the transport the monitor
+   sees.  Token values are deterministic (a login counter), which is
+   what lets a journal replay on a fresh same-seed cloud reuse the
+   recorded [X-Auth-Token] headers verbatim.  Chaos wraps only the
+   monitor's transport; the logins talked to the cloud directly, as an
+   operator bootstrapping would. *)
+let bootstrap ~faults ~chaos:chaos_profile ~chaos_seed =
   let clock = Cm_core.Clock.create () in
   let cloud = Cloud.create ~clock () in
   Cloud.seed cloud Cloud.my_project;
@@ -41,18 +58,7 @@ let bootstrap () =
       ("carol", login "carol" "carol-pw")
     ]
   in
-  (clock, cloud, service_token, tokens)
-
-(* Shared construction; [setup] instantiates it over the single-service
-   Cinder models, [setup_cross] over the cross-service models and the
-   extended security table. *)
-let setup_gen ~resources ~behavior ~table ~mode ~engine ~faults
-    ~chaos:chaos_profile ~chaos_seed ~resilience ~degradation ~stability_check
-    ~cache () =
-  let clock, cloud, service_token, tokens = bootstrap () in
   Cloud.set_faults cloud faults;
-  (* Chaos wraps the transport the *monitor* sees; logins above talked
-     to the cloud directly, as an operator bootstrapping would. *)
   let chaos =
     Option.map
       (fun profile ->
@@ -65,70 +71,55 @@ let setup_gen ~resources ~behavior ~table ~mode ~engine ~faults
     | Some c -> Cm_cloudsim.Chaos.backend c
     | None -> Cloud.handle cloud
   in
-  let security =
-    { Cm_contracts.Generate.table;
-      assignment = Cm_rbac.Security_table.cinder_assignment
-    }
+  (clock, cloud, service_token, tokens, chaos, backend)
+
+(* [setup] runs over the single-service Cinder models, [setup_cross]
+   over the cross-service models and the extended security table. *)
+let setup_gen ~cross ?(mode = Monitor.Oracle)
+    ?(engine = Cm_contracts.Runtime.Compiled)
+    ?(faults = Cm_cloudsim.Faults.none) ?chaos ?chaos_seed ?resilience ?cache ()
+    =
+  let resources, behavior, table = models cross in
+  let clock, cloud, service_token, tokens, chaos, backend =
+    bootstrap ~faults ~chaos ~chaos_seed
   in
   let config =
-    Monitor.default_config ~mode ~engine ~stability_check ?resilience
-      ~degradation ~clock ?cache ~service_token ~security resources behavior
+    Monitor.default_config ~mode ~engine ?resilience ~clock ?cache
+      ~service_token ~security:(security table) resources behavior
   in
-  match Monitor.create config backend with
-  | Ok monitor -> Ok { cloud; monitor; tokens; clock; chaos }
-  | Error msgs -> Error msgs
+  Result.map
+    (fun monitor -> { cloud; monitor; tokens; clock; chaos })
+    (Monitor.create config backend)
 
-let setup ?(mode = Monitor.Oracle) ?(engine = Cm_contracts.Runtime.Compiled)
-    ?(faults = Cm_cloudsim.Faults.none) ?chaos ?chaos_seed ?resilience
-    ?(degradation = Monitor.Fail_open_logged) ?(stability_check = false)
-    ?cache () =
-  setup_gen ~resources:Cm_uml.Cinder_model.resources
-    ~behavior:Cm_uml.Cinder_model.behavior ~table:Cm_rbac.Security_table.cinder
-    ~mode ~engine ~faults ~chaos ~chaos_seed ~resilience ~degradation
-    ~stability_check ~cache ()
+let setup = setup_gen ~cross:false
+let setup_cross = setup_gen ~cross:true
 
-let setup_cross ?(mode = Monitor.Oracle)
-    ?(engine = Cm_contracts.Runtime.Compiled)
-    ?(faults = Cm_cloudsim.Faults.none) ?chaos ?chaos_seed ?resilience
-    ?(degradation = Monitor.Fail_open_logged) ?(stability_check = false)
-    ?cache () =
-  setup_gen ~resources:Cm_uml.Cross_model.resources
-    ~behavior:Cm_uml.Cross_model.behavior ~table:Cm_rbac.Security_table.cross
-    ~mode ~engine ~faults ~chaos ~chaos_seed ~resilience ~degradation
-    ~stability_check ~cache ()
-
-let token_of ctx user =
-  match List.assoc_opt user ctx.tokens with
+let token_in tokens user =
+  match List.assoc_opt user tokens with
   | Some token -> token
   | None -> failwith ("no token for user " ^ user)
 
 let request ctx ~user meth path ?body () =
   let req =
-    Request.make ?body meth path |> Request.with_auth_token (token_of ctx user)
+    Request.make ?body meth path
+    |> Request.with_auth_token (token_in ctx.tokens user)
   in
   Monitor.handle ctx.monitor req
-
-let created_volume_id (outcome : Cm_monitor.Outcome.t) =
-  match outcome.cloud_response with
-  | Some resp ->
-    (match resp.Cm_http.Response.body with
-     | Some body ->
-       (match Cm_json.Pointer.get [ Key "volume"; Key "id" ] body with
-        | Some (Json.String id) -> Some id
-        | Some _ | None -> None)
-     | None -> None)
-  | None -> None
 
 let user_of_role = function
   | Workload.Admin -> ("alice", "alice-pw")
   | Workload.Member -> ("bob", "bob-pw")
   | Workload.User -> ("carol", "carol-pw")
 
+let relogin cloud role =
+  let user, password = user_of_role role in
+  Result.to_option (Cloud.login cloud ~user ~password ~project_id:project)
+
 (* Out-of-band tenant churn: a throwaway project gets a volume added
    and removed behind the monitor's back.  The monitor's caches are
    resynchronised by [Exec] calling [flush] right after. *)
-let churn_project ctx k =
-  let store = Cloud.store ctx.cloud in
+let churn_project cloud k =
+  let store = Cloud.store cloud in
   let pid = Printf.sprintf "churn-%d" k in
   let proj =
     match Store.find_project store pid with
@@ -145,15 +136,9 @@ let exec_env ctx =
     stable_volumes = [];
     victim_volumes = [];
     handle = (fun req -> Monitor.handle_response ctx.monitor req);
-    token = (fun role -> token_of ctx (fst (user_of_role role)));
-    relogin =
-      Some
-        (fun role ->
-          let user, password = user_of_role role in
-          match Cloud.login ctx.cloud ~user ~password ~project_id:project with
-          | Ok token -> Some token
-          | Error _ -> None);
-    churn = Some (churn_project ctx);
+    token = (fun role -> token_in ctx.tokens (fst (user_of_role role)));
+    relogin = Some (relogin ctx.cloud);
+    churn = Some (churn_project ctx.cloud);
     flush = (fun () -> Monitor.flush_cache ctx.monitor)
   }
 
@@ -179,42 +164,17 @@ type jctx = {
   jcrash : Cm_core.Crash.t option;
 }
 
-let models cross =
-  if cross then
-    ( Cm_uml.Cross_model.resources,
-      Cm_uml.Cross_model.behavior,
-      Cm_rbac.Security_table.cross )
-  else
-    ( Cm_uml.Cinder_model.resources,
-      Cm_uml.Cinder_model.behavior,
-      Cm_rbac.Security_table.cinder )
-
 let setup_journaled ?(cross = false) ?(mode = Monitor.Oracle) ?engine
-    ?(faults = Cm_cloudsim.Faults.none) ?chaos:chaos_profile ?chaos_seed
-    ?resilience ?(batch = 8) ?(journal_seed = 7) ?crash () =
+    ?(faults = Cm_cloudsim.Faults.none) ?chaos ?chaos_seed ?resilience
+    ?(batch = 8) ?(journal_seed = 7) ?crash () =
   let resources, behavior, table = models cross in
-  let clock, cloud, service_token, tokens = bootstrap () in
-  Cloud.set_faults cloud faults;
   (* The chaos transport models the *network*, which survives a monitor
      crash — it is created once and shared across recoveries, so its
      fault stream keeps advancing rather than restarting. *)
-  let chaos =
-    Option.map
-      (fun profile ->
-        Cm_cloudsim.Chaos.create ?seed:chaos_seed profile clock
-          (Cloud.handle cloud))
-      chaos_profile
+  let clock, cloud, service_token, tokens, _, backend =
+    bootstrap ~faults ~chaos ~chaos_seed
   in
-  let backend =
-    match chaos with
-    | Some c -> Cm_cloudsim.Chaos.backend c
-    | None -> Cloud.handle cloud
-  in
-  let security =
-    { Cm_contracts.Generate.table;
-      assignment = Cm_rbac.Security_table.cinder_assignment
-    }
-  in
+  let security = security table in
   let jmake ~journal_pre ~journal_barrier ~crash () =
     let config =
       Monitor.default_config ~mode ?engine ~clock ?resilience ~journal_pre
@@ -247,24 +207,6 @@ let jrecover jctx =
     jctx.jmon <- jmon;
     Ok report
 
-let jtoken_of jctx user =
-  match List.assoc_opt user jctx.jtokens with
-  | Some token -> token
-  | None -> failwith ("no token for user " ^ user)
-
-let jchurn jctx k =
-  let store = Cloud.store jctx.jcloud in
-  let pid = Printf.sprintf "churn-%d" k in
-  let proj =
-    match Store.find_project store pid with
-    | Some p -> p
-    | None ->
-      Store.add_project store ~id:pid ~name:pid ~quota_volumes:2
-        ~quota_gigabytes:10 ()
-  in
-  let volume = Store.add_volume store proj ~name:"churn-vol" ~size_gb:1 () in
-  ignore (Store.remove_volume proj volume.Store.volume_id)
-
 let response_of_verdict (v : Cm_journal.Event.verdict_record) =
   match v.Cm_journal.Event.v_body with
   | Some body -> Cm_http.Response.make ~body v.Cm_journal.Event.v_status
@@ -295,22 +237,17 @@ let jexec_env jctx =
             }
           in
           Jmonitor.handle_response jctx.jmon req);
-    token = (fun role -> jtoken_of jctx (fst (user_of_role role)));
+    token = (fun role -> token_in jctx.jtokens (fst (user_of_role role)));
     relogin =
       Some
         (fun role ->
-          let user, password = user_of_role role in
-          Jmonitor.mark jctx.jmon ("relogin:" ^ user);
-          match
-            Cloud.login jctx.jcloud ~user ~password ~project_id:project
-          with
-          | Ok token -> Some token
-          | Error _ -> None);
+          Jmonitor.mark jctx.jmon ("relogin:" ^ fst (user_of_role role));
+          relogin jctx.jcloud role);
     churn =
       Some
         (fun k ->
           Jmonitor.mark jctx.jmon (Printf.sprintf "churn:%d" k);
-          jchurn jctx k);
+          churn_project jctx.jcloud k);
     flush = (fun () -> Monitor.flush_cache (Jmonitor.monitor jctx.jmon))
   }
 
@@ -338,7 +275,7 @@ let replay_journal ?(cross = false) ?(mode = Monitor.Oracle) ?engine events =
              Jmonitor.mark fresh.jmon note
            | [ "churn"; k ] ->
              Jmonitor.mark fresh.jmon note;
-             jchurn fresh (int_of_string k);
+             churn_project fresh.jcloud (int_of_string k);
              Monitor.flush_cache (Jmonitor.monitor fresh.jmon)
            | _ -> Jmonitor.mark fresh.jmon note))
       (Jmonitor.replay_plan events);

@@ -27,8 +27,6 @@ val setup :
   ?chaos:Cm_cloudsim.Chaos.profile ->
   ?chaos_seed:int ->
   ?resilience:Cm_monitor.Resilience.policy ->
-  ?degradation:Cm_monitor.Monitor.degradation ->
-  ?stability_check:bool ->
   ?cache:Cm_monitor.Obs_cache.scope ->
   unit ->
   (ctx, string list) result
@@ -51,8 +49,6 @@ val setup_cross :
   ?chaos:Cm_cloudsim.Chaos.profile ->
   ?chaos_seed:int ->
   ?resilience:Cm_monitor.Resilience.policy ->
-  ?degradation:Cm_monitor.Monitor.degradation ->
-  ?stability_check:bool ->
   ?cache:Cm_monitor.Obs_cache.scope ->
   unit ->
   (ctx, string list) result
@@ -70,9 +66,6 @@ val request :
   unit ->
   Cm_monitor.Outcome.t
 (** One request through the monitor, authenticated as the user. *)
-
-val created_volume_id : Cm_monitor.Outcome.t -> string option
-(** Extract the new volume's id from a creation outcome. *)
 
 val exec_env : ctx -> Cm_workload.Exec.env
 (** The execution environment binding the workload DSL's roles to the

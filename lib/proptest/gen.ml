@@ -1,41 +1,3 @@
+(* A generator: a function of a {!Rng.t} stream and a [size] budget,
+   deterministic in the stream. *)
 type 'a t = Rng.t -> size:int -> 'a
-
-let return x : 'a t = fun _ ~size:_ -> x
-let map f g : 'b t = fun rng ~size -> f (g rng ~size)
-let bind g f : 'b t = fun rng ~size -> (f (g rng ~size)) rng ~size
-
-let pair ga gb : ('a * 'b) t =
-  fun rng ~size ->
-  let a = ga rng ~size in
-  let b = gb rng ~size in
-  (a, b)
-
-let int_range lo hi : int t = fun rng ~size:_ -> Rng.int_in rng lo hi
-let bool : bool t = fun rng ~size:_ -> Rng.bool rng
-
-let oneof gens : 'a t =
-  fun rng ~size -> (Rng.choose rng gens) rng ~size
-
-let oneof_const items : 'a t = fun rng ~size:_ -> Rng.choose rng items
-
-let frequency weighted : 'a t =
-  fun rng ~size ->
-  let total = List.fold_left (fun acc (w, _) -> acc + w) 0 weighted in
-  if total <= 0 then invalid_arg "Gen.frequency: weights must be positive";
-  let roll = Rng.int rng total in
-  let rec pick acc = function
-    | [] -> invalid_arg "Gen.frequency: empty"
-    | (w, g) :: rest -> if roll < acc + w then g else pick (acc + w) rest
-  in
-  (pick 0 weighted) rng ~size
-
-let list_len len_gen elem_gen : 'a list t =
-  fun rng ~size ->
-  let n = len_gen rng ~size in
-  List.init n (fun _ -> elem_gen rng ~size)
-
-let sized f : 'a t = fun rng ~size -> (f size) rng ~size
-let resize k g : 'a t = fun rng ~size:_ -> g rng ~size:k
-let smaller g : 'a t = fun rng ~size -> g rng ~size:(max 0 (size / 2))
-
-let run ~seed ~size g = g (Rng.of_seed seed) ~size

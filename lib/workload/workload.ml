@@ -99,6 +99,115 @@ let render trace =
 
 let fingerprint trace = Digest.to_hex (Digest.string (render trace))
 
+let step_to_string { actor; op } = role_to_string actor ^ " " ^ op_to_string op
+let to_line trace = String.concat "; " (List.map step_to_string trace)
+
+(* ---- parsing the one-line form ---- *)
+
+exception Malformed of string
+
+let malformed fmt = Printf.ksprintf (fun msg -> raise (Malformed msg)) fmt
+
+type token = Word of string | Quoted of string | Semi
+
+(* Words, [;] and strings as [%S] prints them. *)
+let tokenize line =
+  let ib = Scanf.Scanning.from_string line in
+  let rec go acc =
+    match Scanf.bscanf ib " %0c" Fun.id with
+    | exception End_of_file -> List.rev acc
+    | ';' -> go (Scanf.bscanf ib ";" Semi :: acc)
+    | '"' -> go (Quoted (Scanf.bscanf ib "%S" Fun.id) :: acc)
+    | _ -> go (Word (Scanf.bscanf ib "%[^ \t;\"]" Fun.id) :: acc)
+  in
+  go []
+
+let int_of text =
+  match int_of_string_opt text with
+  | Some k -> k
+  | None -> malformed "bad integer %S" text
+
+(* the rest of [text] after [key], as in ["size=10"] or ["from=img:0"] *)
+let after key text =
+  if String.starts_with ~prefix:key text then
+    String.sub text (String.length key) (String.length text - String.length key)
+  else malformed "expected %s..., got %S" key text
+
+let tagged cases text =
+  match String.split_on_char ':' text with
+  | [ tag; k ] when List.mem_assoc tag cases -> List.assoc tag cases (int_of k)
+  | _ -> malformed "bad reference %S" text
+
+let vref =
+  tagged
+    [ ("stable", fun k -> Stable k); ("fresh", fun k -> Fresh k);
+      ("victim", fun k -> Victim k); ("absent", fun k -> Absent k) ]
+
+let sref = tagged [ ("live", fun k -> Live k); ("ghost", fun k -> Ghost k) ]
+let iref = tagged [ ("img", fun k -> Img k); ("noimg", fun k -> No_such_image k) ]
+
+let role = function
+  | "admin" -> Admin
+  | "member" -> Member
+  | "user" -> User
+  | text -> malformed "bad role %S" text
+
+let op_of = function
+  | [ Word "create-volume"; Word idx; Quoted name; Word size ] ->
+    Create_volume
+      { idx = int_of (after "#" idx); name; size = int_of (after "size=" size);
+        source = No_image }
+  | [ Word "create-volume"; Word idx; Quoted name; Word size; Word from ] ->
+    Create_volume
+      { idx = int_of (after "#" idx); name; size = int_of (after "size=" size);
+        source = From_image (iref (after "from=" from)) }
+  | [ Word "list-volumes" ] -> List_volumes
+  | [ Word "show-volume"; Word v ] -> Show_volume (vref v)
+  | [ Word "rename-volume"; Word v; Quoted name ] -> Rename_volume (vref v, name)
+  | [ Word "delete-volume"; Word v ] -> Delete_volume (vref v)
+  | [ Word "volume-action-attach"; Word v; Quoted instance ] ->
+    Volume_action_attach (vref v, instance)
+  | [ Word "volume-action-detach"; Word v ] -> Volume_action_detach (vref v)
+  | [ Word "create-server"; Word idx; Quoted name ] ->
+    Create_server { idx = int_of (after "#" idx); name }
+  | [ Word "list-servers" ] -> List_servers
+  | [ Word "show-server"; Word s ] -> Show_server (sref s)
+  | [ Word "delete-server"; Word s ] -> Delete_server (sref s)
+  | [ Word "attach"; Word s; Word v ] -> Attach (sref s, vref v)
+  | [ Word "detach"; Word s; Word v ] -> Detach (sref s, vref v)
+  | [ Word "create-image"; Word idx; Quoted name; Word size_mb ] ->
+    Create_image
+      { idx = int_of (after "#" idx); name;
+        size_mb = int_of (after "size_mb=" size_mb) }
+  | [ Word "list-images" ] -> List_images
+  | [ Word "show-image"; Word i ] -> Show_image (iref i)
+  | [ Word "set-image-status"; Word i; Quoted status ] ->
+    Set_image_status (iref i, status)
+  | [ Word "delete-image"; Word i ] -> Delete_image (iref i)
+  | [ Word "revoke-token"; Word r ] -> Revoke_token (role r)
+  | [ Word "relogin"; Word r ] -> Relogin (role r)
+  | [ Word "churn-project"; Word k ] -> Churn_project (int_of k)
+  | _ -> malformed "malformed operation"
+
+let step_of = function
+  | Word actor :: op -> { actor = role actor; op = op_of op }
+  | _ -> malformed "a step starts with a role"
+
+let rec split_steps current = function
+  | [] -> [ List.rev current ]
+  | Semi :: rest -> List.rev current :: split_steps [] rest
+  | token :: rest -> split_steps (token :: current) rest
+
+let of_line line =
+  try
+    match tokenize line with
+    | [] -> Ok []
+    | tokens -> Ok (List.map step_of (split_steps [] tokens))
+  with
+  | Malformed msg | Scanf.Scan_failure msg | Failure msg ->
+    Error (Printf.sprintf "%s in %S" msg line)
+  | End_of_file -> Error (Printf.sprintf "unterminated string in %S" line)
+
 (* ------------------------------------------------------------------ *)
 (* Scripted traces                                                     *)
 (* ------------------------------------------------------------------ *)

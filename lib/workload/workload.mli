@@ -88,6 +88,15 @@ val render : trace -> string
 val fingerprint : trace -> string
 (** MD5 hex of {!render} — a short witness for logs and CI output. *)
 
+val to_line : trace -> string
+(** The whole trace on one line: each step as {!render} prints it,
+    without the step number, steps separated by ["; "].  This is the
+    form fuzz counterexamples take in a corpus file. *)
+
+val of_line : string -> (trace, string) result
+(** The inverse of {!to_line}: [of_line (to_line t) = Ok t].  Text that
+    is not a trace yields [Error]; it never raises. *)
+
 val role_to_string : role -> string
 
 (** {1 Traces} *)

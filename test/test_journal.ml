@@ -392,17 +392,17 @@ let replay_tests =
 
 let oracle_tests =
   [ Alcotest.test_case "journal oracle passes a bounded run" `Slow (fun () ->
-        let oracle = Cm_proptest.Oracle.journal in
-        for index = 0 to 4 do
-          match
-            oracle.Cm_proptest.Oracle.run_case ~shrink:false ~seed:42 ~index
-              ~size:1
-          with
-          | Cm_proptest.Oracle.Pass -> ()
-          | Cm_proptest.Oracle.Fail f ->
-            Alcotest.failf "case %d: %s (%s)" index
-              f.Cm_proptest.Oracle.detail f.Cm_proptest.Oracle.repr
-        done)
+        (* monitor cases 2, 5, 8 and 11 run production through the
+           journal (two probe and two mix cases) and replay the journal
+           through the reference *)
+        let report =
+          Cm_proptest.Runner.run ~oracles:[ Cm_proptest.Oracle.monitor ]
+            ~shrink:false ~seed:42 ~cases:12 ()
+        in
+        List.iter
+          (fun (f : Cm_proptest.Oracle.failure) ->
+            Alcotest.failf "case %d: %s (%s)" f.index f.detail f.repr)
+          report.Cm_proptest.Runner.failures)
   ]
 
 let () =

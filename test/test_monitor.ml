@@ -29,7 +29,7 @@ type fixture = {
   service : string;
 }
 
-let fixture ?(mode = Monitor.Oracle) () =
+let fixture ?(mode = Monitor.Oracle) ?engine ?cache ?(gets = ref 0) () =
   let cloud = Cloud.create () in
   Cloud.seed cloud Cloud.my_project;
   Identity.add_user (Cloud.identity cloud) ~password:"svc"
@@ -41,10 +41,15 @@ let fixture ?(mode = Monitor.Oracle) () =
   in
   let service = login "svc" "svc" in
   let config =
-    Monitor.default_config ~mode ~service_token:service ~security
-      Cinder.resources Cinder.behavior
+    Monitor.default_config ~mode ?engine ?cache ~service_token:service
+      ~security Cinder.resources Cinder.behavior
   in
-  match Monitor.create config (Cloud.handle cloud) with
+  (* [gets] counts the GETs the monitor sends its backend *)
+  let backend (req : Request.t) =
+    if req.meth = Meth.GET then incr gets;
+    Cloud.handle cloud req
+  in
+  match Monitor.create config backend with
   | Ok monitor ->
     { cloud;
       monitor;
@@ -622,6 +627,39 @@ let dispatch_tests =
       Cm_uml.Glance_model.resources Cm_uml.Glance_model.behavior
   ]
 
+(* The reference observes the full state of every exchange: no
+   footprint pruning and no observation cache, whatever the scope. *)
+let reference_tests =
+  [ Alcotest.test_case "reference observes the full, uncached state" `Quick
+      (fun () ->
+        let standard_trace_gets engine cache =
+          let gets = ref 0 in
+          let fx = fixture ~engine ~cache ~gets () in
+          let tokens =
+            [ ("alice", fx.alice); ("bob", fx.bob); ("carol", fx.carol) ]
+          in
+          ignore
+            (Cm_mutation.Scenario.run_trace
+               { cloud = fx.cloud; monitor = fx.monitor; tokens;
+                 clock = Cm_core.Clock.create (); chaos = None }
+               Cm_workload.Workload.standard_trace);
+          !gets
+        in
+        let reference = standard_trace_gets Cm_contracts.Runtime.Interpreted in
+        let per_request = reference Cm_monitor.Obs_cache.Per_request in
+        let production =
+          standard_trace_gets Cm_contracts.Runtime.Compiled
+            Cm_monitor.Obs_cache.Per_request
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "reference GETs (%d) exceed production's (%d)"
+             per_request production)
+          true (per_request > production);
+        Alcotest.(check int) "the cache scope does not apply to the reference"
+          per_request
+          (reference Cm_monitor.Obs_cache.Cross_request))
+  ]
+
 let () =
   Alcotest.run "cm_monitor"
     [ ("observer", observer_tests);
@@ -631,5 +669,6 @@ let () =
       ("composition", composition_tests);
       ("interference", interference_tests);
       ("audit", audit_tests);
-      ("dispatch", dispatch_tests)
+      ("dispatch", dispatch_tests);
+      ("reference", reference_tests)
     ]

@@ -431,6 +431,21 @@ let test_shard_safe_projection () =
 
 (* ---- RCU snapshots: no torn publishes ---- *)
 
+(* The writer side of both tests: wait until the reader domain runs,
+   then write for at least [rounds] rounds and until the reader has
+   made a read, so the reads overlap the writes even when the reader
+   domain is scheduled late (the cap only keeps a dead reader from
+   hanging the test). *)
+let write_while_reading ~started ~reads ~rounds write =
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let round = ref 0 in
+  while !round < rounds || (Atomic.get reads = 0 && !round < 1000 * rounds) do
+    incr round;
+    write !round
+  done
+
 (* A reader domain hammers [find_project] while a writer adds and
    removes projects.  Snapshot publication is a single [Atomic.set] of
    an immutable map, so every lookup must observe either nothing or a
@@ -439,15 +454,17 @@ let test_store_torn_publish () =
   let module Store = Cm_cloudsim.Store in
   let store = Store.create () in
   let keys = Array.init 8 (fun i -> Printf.sprintf "torn-%d" i) in
+  let started = Atomic.make false in
   let stop = Atomic.make false in
+  let reads = Atomic.make 0 in
   let torn = Atomic.make 0 in
   let reader =
     Domain.spawn (fun () ->
-        let reads = ref 0 in
+        Atomic.set started true;
         while not (Atomic.get stop) do
           Array.iter
             (fun key ->
-              incr reads;
+              Atomic.incr reads;
               match Store.find_project store key with
               | None -> ()
               | Some p ->
@@ -457,22 +474,20 @@ let test_store_torn_publish () =
                   || p.Store.quota_gigabytes <> 1000
                 then Atomic.incr torn)
             keys
-        done;
-        !reads)
+        done)
   in
-  for round = 1 to 400 do
-    Array.iter
-      (fun key ->
-        if round land 1 = 1 then
-          ignore
-            (Store.add_project store ~id:key ~name:key ~quota_volumes:17
-               ~quota_gigabytes:1000 ())
-        else ignore (Store.remove_project store key))
-      keys
-  done;
+  write_while_reading ~started ~reads ~rounds:400 (fun round ->
+      Array.iter
+        (fun key ->
+          if round land 1 = 1 then
+            ignore
+              (Store.add_project store ~id:key ~name:key ~quota_volumes:17
+                 ~quota_gigabytes:1000 ())
+          else ignore (Store.remove_project store key))
+        keys);
   Atomic.set stop true;
-  let reads = Domain.join reader in
-  Alcotest.(check bool) "reader made progress" true (reads > 0);
+  Domain.join reader;
+  Alcotest.(check bool) "reader made progress" true (Atomic.get reads > 0);
   Alcotest.(check int) "no torn project observed" 0 (Atomic.get torn)
 
 (* Same shape for identity: tokens are issued and revoked by a writer
@@ -487,15 +502,17 @@ let test_identity_torn_publish () =
   Identity.set_assignment identity ~project_id:"torn-proj"
     Cm_rbac.Security_table.cinder_assignment;
   let current = Atomic.make "" in
+  let started = Atomic.make false in
   let stop = Atomic.make false in
+  let reads = Atomic.make 0 in
   let torn = Atomic.make 0 in
   let reader =
     Domain.spawn (fun () ->
-        let reads = ref 0 in
+        Atomic.set started true;
         while not (Atomic.get stop) do
           let token = Atomic.get current in
           if token <> "" then begin
-            incr reads;
+            Atomic.incr reads;
             match Identity.validate identity ~token with
             | None -> ()
             | Some info ->
@@ -505,21 +522,20 @@ let test_identity_torn_publish () =
                    <> "torn-user"
               then Atomic.incr torn
           end
-        done;
-        !reads)
+        done)
   in
-  for _ = 1 to 2000 do
-    match
-      Identity.issue_token identity ~user:"torn-user" ~password:"pw"
-        ~project_id:"torn-proj"
-    with
-    | Error e -> Alcotest.fail ("issue_token failed: " ^ e)
-    | Ok token ->
-      Atomic.set current token;
-      Identity.revoke identity ~token
-  done;
+  write_while_reading ~started ~reads ~rounds:2000 (fun _ ->
+      match
+        Identity.issue_token identity ~user:"torn-user" ~password:"pw"
+          ~project_id:"torn-proj"
+      with
+      | Error e -> Alcotest.fail ("issue_token failed: " ^ e)
+      | Ok token ->
+        Atomic.set current token;
+        Identity.revoke identity ~token);
   Atomic.set stop true;
-  ignore (Domain.join reader);
+  Domain.join reader;
+  Alcotest.(check bool) "reader made progress" true (Atomic.get reads > 0);
   Alcotest.(check int) "no torn token_info observed" 0 (Atomic.get torn);
   (* after the dust settles, the last token is revoked and must not
      resolve through the normal read path *)

@@ -113,7 +113,24 @@ let dsl_tests =
         in
         Alcotest.(check string) "same requests"
           (render (Exec.requests st trace))
-          (render (Exec.requests st trace)))
+          (render (Exec.requests st trace)));
+    Alcotest.test_case "malformed trace text is an error" `Quick (fun () ->
+        List.iter
+          (fun text ->
+            match Workload.of_line text with
+            | Ok _ -> Alcotest.failf "%S parsed" text
+            | Error _ -> ())
+          [ "admin"; "root list-volumes"; "admin list-volumes extra";
+            "admin list-volumes;"; "admin show-volume fresh:x";
+            "admin show-volume live:0"; "admin rename-volume fresh:0 \"a";
+            "admin create-volume #0 \"\\q\" size=1";
+            "admin create-volume #0 \"a\" size=1 from=ghost:0" ];
+        (* every truncation of a valid line is a value, never an
+           exception *)
+        let line = Workload.to_line Workload.cross_trace in
+        for n = 0 to String.length line do
+          ignore (Workload.of_line (String.sub line 0 n))
+        done)
   ]
 
 (* ---- cross-service baseline ---- *)
