@@ -197,17 +197,6 @@ let contract p = p.contract
 let footprint p = p.footprint
 let subscription p = p.subscription
 
-(* Does the subscription admit a request on (meth, resource)?  [None]
-   (no analysis ran) admits everything — the pre-analysis behaviour. *)
-let subscribed_to p ~meth ~resource =
-  match p.subscription with
-  | None -> true
-  | Some s ->
-    let r = String.lowercase_ascii resource in
-    List.exists
-      (fun (m, res, _) -> Cm_http.Meth.equal m meth && String.equal res r)
-      s.sub_events
-
 (* Snapshot slots ([__pre0], [__pre1], …) are written by the snapshot
    machinery, never synced from the observer's environment — a refresh
    that overwrote them with Undef would wrongly invalidate every
@@ -495,7 +484,3 @@ let eval_stats p =
     refreshes = p.inc.refreshes;
     slots_changed = p.inc.slots_changed
   }
-
-let reset_eval_counters p =
-  p.counters.evals <- 0;
-  p.counters.replays <- 0

@@ -48,11 +48,6 @@ val prepare :
 
 val subscription : prepared -> subscription option
 
-val subscribed_to :
-  prepared -> meth:Cm_http.Meth.t -> resource:string -> bool
-(** Can a request on [(meth, resource)] change this contract's verdict?
-    Conservatively [true] when no subscription was supplied. *)
-
 val contract : prepared -> Contract.t
 
 val footprint : prepared -> Cm_ocl.Footprint.t
@@ -121,6 +116,3 @@ val eval_stats : prepared -> eval_stats
 (** Counters since prepare (or the last reset).  [evals] is also
     maintained under {!Interpreted}, where everything else stays 0, so
     the two engines can be compared on identical workloads. *)
-
-val reset_eval_counters : prepared -> unit
-(** Resets [evals]/[replays] (the memo's node counters keep running). *)

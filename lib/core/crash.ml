@@ -12,8 +12,6 @@ let arm t ~site ~nth =
   t.armed <- Some (site, nth);
   t.fired <- None
 
-let disarm t = t.armed <- None
-
 let at opt site =
   match opt with
   | None -> ()
@@ -32,5 +30,3 @@ let fired t = t.fired
 let hits t =
   Hashtbl.fold (fun site n acc -> (site, n) :: acc) t.counts []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset_counts t = Hashtbl.reset t.counts

@@ -25,8 +25,6 @@ val arm : t -> site:string -> nth:int -> unit
 (** Crash at the [nth] occurrence (1-based) of [site].  Re-arming
     replaces the previous arming and clears {!fired}. *)
 
-val disarm : t -> unit
-
 val at : t option -> string -> unit
 (** [at (Some t) site] counts an occurrence and raises {!Crashed} if it
     is the armed one.  [at None _] is free — production configurations
@@ -37,6 +35,3 @@ val fired : t -> string option
 
 val hits : t -> (string * int) list
 (** Occurrence counts per site seen so far, sorted by site name. *)
-
-val reset_counts : t -> unit
-(** Zero the occurrence counters (keeps the arming). *)

@@ -28,5 +28,3 @@ let percentile samples p =
       (sorted.(lo) *. (1. -. w)) +. (sorted.(hi) *. w)
     end
   end
-
-let percentiles samples ps = List.map (percentile samples) ps

@@ -18,7 +18,3 @@ val percentile : float array -> float -> float
 (** [percentile samples p] is the [p]-th percentile ([0 <= p <= 100])
     of the samples, linearly interpolated between order statistics (the
     array is not modified).  NaN when [samples] is empty. *)
-
-val percentiles : float array -> float list -> float list
-(** {!percentile} at several points (each sorts a fresh copy; fine for
-    report-sized sample sets). *)

@@ -241,13 +241,3 @@ let verdict_line v =
     (match v.v_body with
     | None -> "-"
     | Some body -> Cm_json.Printer.to_string (J.sort_keys body))
-
-let pp ppf ev =
-  match ev with
-  | Request { seq; rid; req } ->
-      Format.fprintf ppf "#%d req %s %s %s" seq rid
-        (Cm_http.Meth.to_string req.Cm_http.Request.meth)
-        req.Cm_http.Request.path
-  | Pre { seq; _ } -> Format.fprintf ppf "#%d pre" seq
-  | Verdict v -> Format.fprintf ppf "#%d verdict %s" v.v_seq v.v_conformance
-  | Mark { seq; note } -> Format.fprintf ppf "#%d mark %s" seq note

@@ -54,5 +54,3 @@ val verdict_line : verdict_record -> string
     verdict streams are compared for bit-identity (live vs. replayed,
     pre- vs. post-crash).  Includes the response body in canonical
     (key-sorted) form. *)
-
-val pp : Format.formatter -> t -> unit

@@ -69,7 +69,6 @@ let with_project t ~project_id = { t with project_id }
 let with_token t ~token = { t with token }
 let with_footprint t footprint = { t with footprint }
 let with_cache t cache = { t with cache }
-let project_id t = t.project_id
 
 (* ---- footprint pruning ----------------------------------------------- *)
 

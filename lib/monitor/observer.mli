@@ -16,7 +16,9 @@
     - every collection reachable from it (role [volumes], [images], …)
       is GET and its listing becomes a member of the context binding
       under the role name — a failed listing simply leaves the member
-      absent (size 0);
+      absent (size 0; a read the monitor's resilience layer could not
+      complete is not an answer, and the monitor keeps that phase's
+      verdict Undefined);
     - every singleton child (e.g. [quota_sets]) is GET and bound as a
       top-level variable under its definition name;
     - the specific item addressed by the monitored request, when given,
@@ -83,8 +85,6 @@ val with_footprint : t -> Cm_ocl.Footprint.t option -> t
     everything. *)
 
 val with_cache : t -> Obs_cache.t option -> t
-
-val project_id : t -> string
 
 val observe :
   ?fresh:bool ->

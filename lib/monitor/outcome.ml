@@ -83,13 +83,6 @@ let phases_total p =
   p.observe_pre_ns +. p.eval_pre_ns +. p.forward_ns +. p.observe_post_ns
   +. p.eval_post_ns
 
-let pp_phases ppf p =
-  Fmt.pf ppf
-    "observe-pre %.0fns | eval-pre %.0fns | forward %.0fns | observe-post \
-     %.0fns | eval-post %.0fns"
-    p.observe_pre_ns p.eval_pre_ns p.forward_ns p.observe_post_ns
-    p.eval_post_ns
-
 type t = {
   request : Cm_http.Request.t;
   response : Cm_http.Response.t;

@@ -67,8 +67,6 @@ type phases = {
 
 val phases_total : phases -> float
 
-val pp_phases : Format.formatter -> phases -> unit
-
 type t = {
   request : Cm_http.Request.t;
   response : Cm_http.Response.t;  (** what the monitor returned upstream *)

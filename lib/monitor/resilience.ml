@@ -406,8 +406,3 @@ let degraded_response failure =
     | Exhausted _ -> Status.gateway_timeout
   in
   Response.error status ("monitor transport: " ^ failure_to_string failure)
-
-let backend t req =
-  match call_verified t req with
-  | Ok resp -> resp
-  | Error failure -> degraded_response failure

@@ -89,16 +89,15 @@ val call_verified :
 (** {!call}, plus the double-read stale defense on GETs when the policy
     has [verified_reads]. *)
 
-val backend : t -> backend
-(** The layer as a plain backend: failures become synthetic 503/504
-    responses (for consumers that treat any non-success as "value not
-    observable", like the observer). *)
+val degraded_response : failure -> Cm_http.Response.t
+(** The synthetic 503 ({!Circuit_open}) or 504 ({!Exhausted}) that
+    stands in for a failed call where a plain response is needed: the
+    observer binds any non-success as absent state, so the monitor
+    records the failure beside it and keeps the phase's verdict
+    Undefined. *)
 
 val request_id_header : string
 (** ["X-Request-Id"]. *)
-
-val backoff_ms : policy -> Cm_core.Prng.t -> attempt:int -> int
-(** The jittered pause after the given (1-based) failed attempt. *)
 
 val schedule : policy -> seed:int -> int list
 (** The full deterministic backoff schedule a fresh layer with this

@@ -135,4 +135,3 @@ let eval_stats t =
       }
     t.monitors
 
-let flush_caches t = Array.iter Monitor.flush_cache t.monitors

@@ -40,10 +40,6 @@ val shard_of : t -> Cm_http.Request.t -> int
     the hash is memoized per project id.  Admission-side only: call it
     from the dispatching domain, before fan-out. *)
 
-val shard_of_project : t -> string -> int
-(** The shard owning a project id (same memoized hash {!shard_of}
-    uses), for callers that already classified the request. *)
-
 val tenant_keyed : t -> Cm_http.Request.t -> bool
 (** Does the static write-effect analysis prove the request's event
     tenant-keyed ({!Monitor.tenant_keyed_classifier})?  [true] means the
@@ -80,6 +76,3 @@ val eval_stats : t -> Cm_contracts.Runtime.eval_stats
 (** Pool-wide incremental-evaluation counters, summed over every
     replica's prepared contracts. *)
 
-val flush_caches : t -> unit
-(** {!Monitor.flush_cache} on every replica — required after any
-    out-of-band write when the pool runs [Cross_request] caches. *)

@@ -80,6 +80,15 @@ type chaos_run = {
   cr_injected : (string * int) list;  (** chaos fault counters *)
 }
 
+val compare_outcomes :
+  Cm_monitor.Outcome.t list ->
+  Cm_monitor.Outcome.t list ->
+  int * (int * string * string) list * int
+(** Position-wise comparison of a fault-free run against a chaos run of
+    the same trace: ([cr_comparable], [cr_flips], [cr_indefinite]).  A
+    step is comparable when both runs issued the same method and path;
+    a flip is two definite verdicts that disagree on one. *)
+
 val run_chaos :
   ?seed:int ->
   ?domains:int ->

@@ -138,8 +138,3 @@ let cross_mutants =
 let all = paper_mutants @ extended_mutants
 let all_extended = all @ cross_mutants
 let find name = List.find_opt (fun m -> m.name = name) all_extended
-
-let pp ppf m =
-  Fmt.pf ppf "%s%s: %s" m.name
-    (if m.from_paper then " [paper]" else "")
-    m.description

@@ -41,4 +41,3 @@ val all_extended : t list
 
 (** Looks up across {!all_extended}. *)
 val find : string -> t option
-val pp : Format.formatter -> t -> unit

@@ -89,22 +89,10 @@ let scratch_slot plan =
   if i <= max_masked_slot then plan.scratch_mask <- plan.scratch_mask lor (1 lsl i);
   i
 
-let plan_vars plan = List.rev_map fst plan.frees
-
 let frame_of_env plan env =
   let slots = Array.make (max 1 plan.size) Value.Undef in
   List.iter
     (fun (name, i) -> slots.(i) <- Eval.lookup name env)
-    plan.frees;
-  { slots; pre = None; is_pre = false; memo = None }
-
-let frame_of_bindings plan bindings =
-  let slots = Array.make (max 1 plan.size) Value.Undef in
-  List.iter
-    (fun (name, i) ->
-      match List.assoc_opt name bindings with
-      | Some json -> slots.(i) <- Value.Json json
-      | None -> ())
     plan.frees;
   { slots; pre = None; is_pre = false; memo = None }
 
@@ -113,9 +101,6 @@ let frame_of_bindings plan bindings =
    would confuse the two. *)
 let with_pre ~pre frame =
   { frame with pre = Some { pre with is_pre = true; memo = None } }
-
-let write_slot frame i value = frame.slots.(i) <- value
-let read_slot frame i = frame.slots.(i)
 
 let no_node = -1
 let pure_info = { mask = 0; impure = false; node = no_node }
@@ -510,7 +495,6 @@ let memo_frame plan memo =
 let epoch memo = memo.epoch
 let memo_hits memo = memo.node_hits
 let memo_evals memo = memo.node_evals
-let node_count plan = plan.nodes
 
 (* Sync the frame's free slots from [env], diffing each value against
    what the frame already holds. Only actual changes bump the epoch and

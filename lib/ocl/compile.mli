@@ -45,9 +45,6 @@ val plan : ?memoize:bool -> unit -> plan
 (** [memoize] (default [false]) enables per-node epoch-stamped caches;
     they only activate on frames carrying a {!memo}. *)
 
-val plan_vars : plan -> string list
-(** Free context variables with slots, in first-allocation order. *)
-
 val var_slot : plan -> string -> int
 (** Slot index of a free context variable, allocating one if needed —
     used by the snapshot runtime to write captured pre-state values
@@ -63,16 +60,11 @@ val frame_of_env : plan -> Eval.env -> frame
     environment's own attached pre-state is {e not} carried over —
     attach one explicitly with {!with_pre}. *)
 
-val frame_of_bindings : plan -> (string * Cm_json.Json.t) list -> frame
-
 val with_pre : pre:frame -> frame -> frame
 (** Attach a pre-state frame (mirrors {!Eval.with_pre}, including the
     idempotence of [pre(...)] inside the pre-state itself).  The
     attached pre copy drops any memo — node caches are keyed by the
     post-state frame. *)
-
-val write_slot : frame -> int -> Value.t -> unit
-val read_slot : frame -> int -> Value.t
 
 type t
 (** A compiled expression: [frame -> Value.t]. *)
@@ -127,7 +119,7 @@ val refresh : plan -> memo -> frame -> Eval.env -> sync:(string -> bool) -> int
     of changed slots.  Allocation-free when nothing changed. *)
 
 val write_slot_versioned : frame -> int -> Value.t -> unit
-(** {!write_slot} that diffs first and bumps the slot's version on real
+(** A slot write that diffs first and bumps the slot's version on real
     changes — keeps post-condition memos valid across requests whose
     snapshots are identical.  Plain write on frames without a memo. *)
 
@@ -146,7 +138,6 @@ val deps_clean : memo -> mask:int -> stamp:int -> bool
 val epoch : memo -> int
 val memo_hits : memo -> int
 val memo_evals : memo -> int
-val node_count : plan -> int
 
 val eval : t -> frame -> Value.t
 val check : t -> frame -> Value.tribool

@@ -15,7 +15,6 @@ let env_of_bindings bindings =
   }
 
 let with_pre ~pre env = { env with pre = Some { pre with is_pre = true } }
-let bind name json env = { env with vars = (name, Value.Json json) :: env.vars }
 
 let bindings env =
   List.filter_map

@@ -14,9 +14,6 @@ val env_of_bindings : (string * Cm_json.Json.t) list -> env
 val with_pre : pre:env -> env -> env
 (** Attach a pre-state environment. *)
 
-val bind : string -> Cm_json.Json.t -> env -> env
-(** Add/shadow one binding. *)
-
 val bind_value : string -> Value.t -> env -> env
 (** Like {!bind} but can bind [Undef] — used by the snapshot runtime to
     carry over values that were already undefined before the call. *)

@@ -45,8 +45,6 @@ let union a b = normalize (List.fold_left (fun acc (r, fs) -> add r fs acc) a b)
 
 let of_exprs exprs = List.fold_left (fun acc e -> union acc (of_expr e)) empty exprs
 
-let roots t = List.map fst t
-
 let mentions t root = List.mem_assoc root t
 
 let needs_field t ~root field =

@@ -32,8 +32,6 @@ val of_exprs : Ast.expr list -> t
 
 val union : t -> t -> t
 
-val roots : t -> string list
-
 val mentions : t -> string -> bool
 (** Does the footprint read the root at all?  [false] means the
     observer may skip producing the binding entirely. *)

@@ -251,6 +251,58 @@ let test_monitor_timeout_is_undefined () =
     Alcotest.(check bool) "not a definite verdict" false
       (Outcome.is_definite outcome.Outcome.conformance)
 
+(* ---- unobservable reads ---- *)
+
+(* A create through a Cinder monitor whose GETs of the project document
+   outlive every attempt: from the start, or once the create itself has
+   reached the cloud.  Bound as absent, the missing document would make
+   [project.id->size() = 1] definitely false: a "wrongly accepted"
+   create in Oracle mode, a wrongly denied one in Enforce mode, a
+   violated postcondition after forwarding. *)
+let blinded_create ~after_forward mode =
+  let clock = Clock.create () in
+  let cloud = Cloud.create ~clock () in
+  Cloud.seed cloud Cloud.my_project;
+  Cm_cloudsim.Identity.add_user (Cloud.identity cloud) ~password:"svc-pw"
+    (Cm_rbac.Subject.make "cmonitor-svc" [ "proj_administrator" ]);
+  let service_token = login cloud "cmonitor-svc" "svc-pw" in
+  let token = login cloud "alice" "alice-pw" in
+  let blind = ref (not after_forward) in
+  let backend request =
+    if Request.auth_token request = Some token then blind := true;
+    if !blind && request.Request.path = "/v3/myProject" then
+      Clock.advance clock 5_000;
+    Cloud.handle cloud request
+  in
+  let security =
+    { Cm_contracts.Generate.table = Cm_rbac.Security_table.cinder;
+      assignment = Cm_rbac.Security_table.cinder_assignment
+    }
+  in
+  let config =
+    Monitor.default_config ~mode ~resilience:Resilience.default ~clock
+      ~service_token ~security Cm_uml.Cinder_model.resources
+      Cm_uml.Cinder_model.behavior
+  in
+  Monitor.handle
+    (Result.get_ok (Monitor.create config backend))
+    (req ~token ~body:(volume_body "v") Meth.POST "/v3/myProject/volumes")
+
+let test_unobservable_read ~after_forward () =
+  let phase = if after_forward then "post-state" else "pre-state" in
+  List.iter
+    (fun mode ->
+      let o = blinded_create ~after_forward mode in
+      let verdict = if after_forward then o.post_verdict else o.pre_verdict in
+      match o.Outcome.conformance, verdict with
+      | Outcome.Undefined _, Some (Cm_ocl.Eval.Undefined_verdict hint) ->
+        Alcotest.(check bool) ("hint names the " ^ phase ^ " read") true
+          (contains ~affix:(phase ^ " unobservable: GET /v3/myProject:") hint)
+      | c, _ ->
+        Alcotest.failf "expected Undefined, got %s"
+          (Outcome.conformance_to_string c))
+    [ Monitor.Oracle; Monitor.Enforce ]
+
 (* ---- chaos determinism ---- *)
 
 let test_chaos_deterministic () =
@@ -424,7 +476,11 @@ let () =
         [ Alcotest.test_case "seeded chaos is bit-reproducible" `Quick
             test_chaos_deterministic;
           Alcotest.test_case "monitor timeout yields three-valued verdict"
-            `Quick test_monitor_timeout_is_undefined
+            `Quick test_monitor_timeout_is_undefined;
+          Alcotest.test_case "unobservable pre-state read is Undefined" `Quick
+            (test_unobservable_read ~after_forward:false);
+          Alcotest.test_case "unobservable post-state read is Undefined" `Quick
+            (test_unobservable_read ~after_forward:true)
         ] );
       ( "degradation",
         [ Alcotest.test_case "fail-closed rejects with 503" `Quick
