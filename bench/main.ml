@@ -828,36 +828,7 @@ let section_throughput () =
        output_string oc "\n";
        close_out oc;
        print_endline "\nwrote BENCH_throughput.json"
-     end);
-  (* the per-phase breakdown the timings flag surfaces in Report *)
-  let fx = Workloads.make_fixture () in
-  let service =
-    match
-      Cm_cloudsim.Cloud.login fx.Workloads.cloud ~user:"svc" ~password:"svc"
-        ~project_id:"myProject"
-    with
-    | Ok t -> t
-    | Error e -> failwith e
-  in
-  (match
-     Cm_monitor.Monitor.create
-       (Cm_monitor.Monitor.default_config ~mode:Cm_monitor.Monitor.Oracle
-          ~service_token:service ~security ~timings:true
-          Cm_uml.Cinder_model.resources Cm_uml.Cinder_model.behavior)
-       (Cm_cloudsim.Cloud.handle fx.Workloads.cloud)
-   with
-   | Error msgs -> List.iter print_endline msgs
-   | Ok monitor ->
-     let request = Workloads.get_volume_request fx in
-     for _ = 1 to 200 do
-       ignore (Cm_monitor.Monitor.handle monitor request)
-     done;
-     let outcomes = Cm_monitor.Monitor.outcomes monitor in
-     print_newline ();
-     print_string
-       (Cm_monitor.Report.render
-          (Cm_monitor.Report.summarize outcomes)
-          ~coverage:[]))
+     end)
 
 let section_explore () =
   banner "A4: randomized conformance exploration";
@@ -975,7 +946,7 @@ let section_testgen () =
   let generated_kills faults =
     let report =
       Cm_testgen.Execute.run ~table ~machine
-        (Cm_testgen.Cinder_driver.driver ~faults ())
+        Cm_testgen.Generic_driver.(driver ~faults cinder_spec)
         cases
     in
     report.Cm_testgen.Execute.bugs > 0

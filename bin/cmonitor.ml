@@ -76,7 +76,7 @@ let testgen () =
     (List.length cases);
   let report =
     Cloudmon.Testgen.Execute.run ~table ~machine
-      (Cloudmon.Testgen.Cinder_driver.driver ())
+      Cloudmon.Testgen.Generic_driver.(driver cinder_spec)
       cases
   in
   print_string (Cloudmon.Testgen.Execute.render report);

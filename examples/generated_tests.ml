@@ -27,7 +27,7 @@ let () =
   print_endline "== campaign against the correct cloud ==";
   let report =
     C.Testgen.Execute.run ~table ~machine
-      (C.Testgen.Cinder_driver.driver ())
+      C.Testgen.Generic_driver.(driver cinder_spec)
       cases
   in
   print_string (C.Testgen.Execute.render report);
@@ -40,8 +40,8 @@ let () =
   | Some mutant ->
     let report =
       C.Testgen.Execute.run ~table ~machine
-        (C.Testgen.Cinder_driver.driver ~faults:mutant.C.Mutation.Mutant.faults
-           ())
+        C.Testgen.Generic_driver.(
+          driver ~faults:mutant.C.Mutation.Mutant.faults cinder_spec)
         cases
     in
     print_string (C.Testgen.Execute.render report);

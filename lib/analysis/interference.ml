@@ -59,21 +59,6 @@ let subscription_for subs trigger =
 let cross_shard_events s =
   List.filter (fun (ev : Effects.event) -> not ev.ev_tenant_keyed) s.sub_events
 
-(* ---- conversion for the runtime ---- *)
-
-let to_runtime s : Cm_contracts.Runtime.subscription =
-  { Cm_contracts.Runtime.sub_events =
-      List.map
-        (fun (ev : Effects.event) ->
-          ( ev.Effects.ev_trigger.BM.meth,
-            String.lowercase_ascii ev.Effects.ev_trigger.BM.resource,
-            ev.Effects.ev_tenant_keyed ))
-        s.sub_events;
-    sub_identity =
-      List.exists (fun (ev : Effects.event) -> ev.ev_identity) s.sub_events;
-    sub_shard_closed = s.sub_shard_closed
-  }
-
 (* ---- AN013/AN014/AN015 ---- *)
 
 let findings (input : Input.t) =

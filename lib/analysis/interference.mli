@@ -36,9 +36,6 @@ val contract_reads : Cm_contracts.Contract.t -> Cm_ocl.Footprint.t
     functional pre, auth guard, branches, post) — the same set
     {!Cm_contracts.Runtime.footprint} serves at run time. *)
 
-val subscription_of :
-  Effects.event list -> Cm_contracts.Contract.t -> subscription
-
 val subscriptions : Input.t -> (subscription list, string) result
 (** One subscription per generated contract, in trigger order. *)
 
@@ -48,10 +45,6 @@ val subscription_for :
 val cross_shard_events : subscription -> Effects.event list
 (** The subscribed events that are not tenant-keyed (empty iff
     [sub_shard_closed]). *)
-
-val to_runtime : subscription -> Cm_contracts.Runtime.subscription
-(** The runtime-facing image: triggers flattened to
-    [(method, lowercased resource, tenant-keyed)] triples. *)
 
 val findings : Input.t -> Cm_lint.Lint.finding list
 (** AN013/AN014/AN015.  Inputs whose contracts cannot be generated

@@ -62,24 +62,12 @@ type inc = {
   mutable slots_changed : int;
 }
 
-(* Statically computed event interest, produced by the analysis layer
-   (which sits above this library) and threaded in through {!prepare}.
-   The runtime only stores and serves it; the monitor uses it to skip
-   contracts that cannot react to a request, and the sharded driver to
-   prove tenant-closure. *)
-type subscription = {
-  sub_events : (Cm_http.Meth.t * string * bool) list;
-  sub_identity : bool;
-  sub_shard_closed : bool;
-}
-
 type prepared = {
   contract : Contract.t;
   engine : engine;
   compiled : Snapshot.compiled;
   staged : staged;
   footprint : Cm_ocl.Footprint.t;
-  subscription : subscription option;
   counters : counters;
   inc : inc;
 }
@@ -165,7 +153,7 @@ let stage_contract (contract : Contract.t) (compiled : Snapshot.compiled) =
     slots_impure = List.exists (fun (_, _, t) -> tracked_impure t) slots_t
   }
 
-let prepare ?(engine = Compiled) ?subscription contract =
+let prepare ?(engine = Compiled) contract =
   let compiled = Snapshot.compile contract.Contract.post in
   let staged = stage_contract contract compiled in
   let memo = Compile.make_memo staged.plan in
@@ -188,14 +176,12 @@ let prepare ?(engine = Compiled) ?subscription contract =
     compiled;
     staged;
     footprint = contract_footprint contract;
-    subscription;
     counters = { evals = 0; replays = 0 };
     inc
   }
 
 let contract p = p.contract
 let footprint p = p.footprint
-let subscription p = p.subscription
 
 (* Snapshot slots ([__pre0], [__pre1], …) are written by the snapshot
    machinery, never synced from the observer's environment — a refresh

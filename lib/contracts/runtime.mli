@@ -23,30 +23,12 @@ type engine =
           verdicts whenever their dependency slots are unchanged.
           Verdict-identical to [Interpreted] (diffing is value-based) *)
 
-type subscription = {
-  sub_events : (Cm_http.Meth.t * string * bool) list;
-      (** the (method, resource, tenant-keyed) events whose write effects
-          can change this contract's verdict — lowercased resource names,
-          sorted (resource, method) *)
-  sub_identity : bool;
-      (** subscribed to the identity (token-revocation) pseudo-event *)
-  sub_shard_closed : bool;
-      (** every subscribed event is tenant-keyed: the contract's verdicts
-          are a function of one tenant's event stream *)
-}
-(** Statically computed event interest.  Produced by the analysis layer
-    and threaded in through {!prepare}; the runtime stores and serves
-    it. *)
-
 type prepared
 (** A contract with its snapshot plan compiled and its expressions
     staged (do this once, not per request). *)
 
-val prepare :
-  ?engine:engine -> ?subscription:subscription -> Contract.t -> prepared
-(** Defaults: [Compiled], no subscription. *)
-
-val subscription : prepared -> subscription option
+val prepare : ?engine:engine -> Contract.t -> prepared
+(** Defaults: [Compiled]. *)
 
 val contract : prepared -> Contract.t
 

@@ -36,9 +36,9 @@ let registry : t list ref = ref []
 let registry_lock = Mutex.create ()
 
 (* Process-wide acquisition total, bumped on every instrumented lock:
-   the per-request attribution in the monitor reads this twice per
-   exchange, so it must be an O(1) [Atomic.get], not a registry fold
-   (the registry grows with every cloud a long campaign creates). *)
+   benches snapshot it before and after a serving phase, so it must be
+   an O(1) [Atomic.get], not a registry fold (the registry grows with
+   every cloud a long campaign creates). *)
 let global_acquisitions = Atomic.make 0
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)

@@ -1,14 +1,3 @@
-type source = Wall | Virtual of Clock.t
-
-let now_ns = function
-  | Wall -> Unix.gettimeofday () *. 1e9
-  | Virtual clock -> float_of_int (Clock.now clock) *. 1e6
-
-let time_ns source f =
-  let start = now_ns source in
-  let result = f () in
-  (result, now_ns source -. start)
-
 (* Linear-interpolated percentile over a copy of the samples; [p] in
    [0, 100].  NaN on an empty array rather than an exception — latency
    reports degrade gracefully when a run produced no samples. *)

@@ -46,7 +46,6 @@ type config = {
   degradation : degradation;
   clock : Clock.t option;
   cache : Obs_cache.scope;
-  timings : bool;
   journal_pre : (pre_image -> unit) option;
       (* called with the pre-phase conclusion of a contracted request,
          after evaluation and before forwarding — the journal's
@@ -60,12 +59,11 @@ type config = {
 
 let default_config ?(mode = Oracle) ?(engine = Runtime.Compiled)
     ?(stability_check = false) ?resilience ?(degradation = Fail_open_logged)
-    ?clock ?(cache = Obs_cache.Per_request) ?(timings = false) ?journal_pre
-    ?journal_barrier ?crash ~service_token ?service_token_for ?security
-    resources behavior =
+    ?clock ?(cache = Obs_cache.Per_request) ?journal_pre ?journal_barrier
+    ?crash ~service_token ?service_token_for ?security resources behavior =
   { mode; engine; service_token; service_token_for; resources; behavior;
     security; stability_check; resilience; degradation; clock; cache;
-    timings; journal_pre; journal_barrier; crash
+    journal_pre; journal_barrier; crash
   }
 
 type t = {
@@ -96,17 +94,6 @@ type t = {
       (* path entries derived once; per request this is re-targeted with
          [with_project] (a cheap record copy) instead of re-deriving *)
   cache : Obs_cache.t option;
-  stopwatch : Cm_core.Stopwatch.source option;
-  mutable lock_base : int;
-      (* instrumented-lock acquisition total at the top of [handle];
-         [record] differences against it to attribute lock traffic to
-         the exchange *)
-  (* per-request phase accumulators, reset at the top of [handle] *)
-  mutable ph_observe_pre : float;
-  mutable ph_eval_pre : float;
-  mutable ph_forward : float;
-  mutable ph_observe_post : float;
-  mutable ph_eval_post : float;
   mutable log : Outcome.t list;  (* newest first *)
 }
 
@@ -210,12 +197,10 @@ let create config backend =
          if type_errors <> [] then Error type_errors
          else begin
            (* The static analysis layer: per-trigger write effects feed
-              the effect-driven cache invalidation, per-contract
-              subscription maps let evaluation skip provably inert
-              requests and give the sharded driver its closure proof.
-              An underivable table (can't happen past the Paths.derive
-              above, but kept total) degrades to the conservative
-              pre-analysis behaviour. *)
+              the effect-driven cache invalidation.  An underivable
+              table (can't happen past the Paths.derive above, but kept
+              total) degrades to the conservative pre-analysis
+              behaviour: every mutation drops its tenant's scope. *)
            let analysis_input =
              { Cm_analysis.Input.resources = config.resources;
                behavior = config.behavior;
@@ -226,14 +211,6 @@ let create config backend =
              match Cm_analysis.Effects.events analysis_input with
              | Ok events -> events
              | Error _ -> []
-           in
-           let subscription_for c =
-             match analysis_events with
-             | [] -> None
-             | events ->
-               Some
-                 (Cm_analysis.Interference.to_runtime
-                    (Cm_analysis.Interference.subscription_of events c))
            in
            let write_templates =
              List.filter_map
@@ -252,9 +229,7 @@ let create config backend =
            let prepared =
              List.map
                (fun c ->
-                 ( c.Contract.trigger,
-                   Runtime.prepare ~engine:config.engine
-                     ?subscription:(subscription_for c) c ))
+                 (c.Contract.trigger, Runtime.prepare ~engine:config.engine c))
                contract_list
            in
            let by_trigger = Hashtbl.create (2 * List.length prepared + 1) in
@@ -305,14 +280,6 @@ let create config backend =
                ~project_id:"" entries
              |> fun o -> Observer.with_cache o cache
            in
-           let stopwatch =
-             if not config.timings then None
-             else
-               Some
-                 (match config.clock with
-                 | Some clock -> Cm_core.Stopwatch.Virtual clock
-                 | None -> Cm_core.Stopwatch.Wall)
-           in
            Ok
              { config;
                backend;
@@ -326,13 +293,6 @@ let create config backend =
                write_templates;
                observer_base;
                cache;
-               stopwatch;
-               lock_base = 0;
-               ph_observe_pre = 0.;
-               ph_eval_pre = 0.;
-               ph_forward = 0.;
-               ph_observe_post = 0.;
-               ph_eval_post = 0.;
                log = []
              }
          end)
@@ -479,49 +439,14 @@ let prepared_for t trigger = Hashtbl.find_opt t.by_trigger trigger
 let contract_for_trigger t trigger =
   Option.map Runtime.contract (prepared_for t trigger)
 
-let subscriptions t =
-  List.filter_map
-    (fun (trigger, p) ->
-      Option.map (fun s -> (trigger, s)) (Runtime.subscription p))
-    t.prepared
-
-(* ---- phase timing ---- *)
-
-let timed t slot f =
-  match t.stopwatch with
-  | None -> f ()
-  | Some source ->
-    let result, ns = Cm_core.Stopwatch.time_ns source f in
-    (match slot with
-    | `Observe_pre -> t.ph_observe_pre <- t.ph_observe_pre +. ns
-    | `Eval_pre -> t.ph_eval_pre <- t.ph_eval_pre +. ns
-    | `Forward -> t.ph_forward <- t.ph_forward +. ns
-    | `Observe_post -> t.ph_observe_post <- t.ph_observe_post +. ns
-    | `Eval_post -> t.ph_eval_post <- t.ph_eval_post +. ns);
-    result
-
-let reset_phases t =
-  t.ph_observe_pre <- 0.;
-  t.ph_eval_pre <- 0.;
-  t.ph_forward <- 0.;
-  t.ph_observe_post <- 0.;
-  t.ph_eval_post <- 0.
-
-let current_phases t =
-  match t.stopwatch with
-  | None -> None
-  | Some _ ->
-    Some
-      { Outcome.observe_pre_ns = t.ph_observe_pre;
-        eval_pre_ns = t.ph_eval_pre;
-        forward_ns = t.ph_forward;
-        observe_post_ns = t.ph_observe_post;
-        eval_post_ns = t.ph_eval_post
-      }
-
 (* ---- observation ---- *)
 
-let observe_env ?request_body t classified prepared =
+(* One request's observation: the shared observer re-targeted at the
+   request's project, service token and the contract's footprint, with
+   the request's user token and body bound in.  Each call reads afresh
+   and forgets the previous call's unobservable reads; [~fresh:true]
+   also bypasses the observation cache. *)
+let observation t classified prepared (req : Request.t) =
   let project_id =
     Option.value ~default:"" classified.request_project
   in
@@ -541,10 +466,11 @@ let observe_env ?request_body t classified prepared =
        | Runtime.Compiled -> Some (Runtime.footprint prepared)
        | Runtime.Interpreted -> None)
   in
-  fun ~fresh ~user_token ->
+  let user_token = Request.auth_token req in
+  fun ~fresh ->
     t.unobservable := [];
     Observer.env ~fresh ?item:classified.item ~bindings:classified.bindings
-      ?user_token ?request_body observer
+      ?user_token ?request_body:req.Request.body observer
 
 (* A read the resilience layer could not complete is not the cloud's
    answer: the state it covers is unknown, not absent.  The observer
@@ -576,39 +502,29 @@ let is_auth_failure (resp : Response.t) =
   resp.Response.status = Status.unauthorized
   || resp.Response.status = Status.forbidden
 
-let monitor_body conformance detail =
-  Json.obj
-    [ ( "monitor",
-        Json.obj
-          [ ("verdict", Json.string (Outcome.conformance_to_string conformance));
-            ("detail", Json.string detail)
-          ] )
-    ]
-
-let blocked_response conformance detail =
+(* The monitor's own answer in place of the cloud's: 403 for a request
+   blocked before forwarding, 500 for a postcondition that does not
+   hold, 503 when failing closed. *)
+let diagnostic status conformance detail =
   Response.make
     ~headers:(Cm_http.Headers.content_type_json Cm_http.Headers.empty)
-    ~body:(monitor_body conformance detail)
-    Status.forbidden
+    ~body:
+      (Json.obj
+         [ ( "monitor",
+             Json.obj
+               [ ( "verdict",
+                   Json.string (Outcome.conformance_to_string conformance) );
+                 ("detail", Json.string detail)
+               ] )
+         ])
+    status
 
 let record t outcome =
-  let outcome =
-    { outcome with
-      Outcome.phases = current_phases t;
-      lock_acquisitions =
-        Cm_core.Lockstat.total_acquisitions () - t.lock_base
-    }
-  in
   (if Outcome.is_violation outcome.Outcome.conformance then
      Log.warn (fun m -> m "%a" Outcome.pp outcome)
    else Log.debug (fun m -> m "%a" Outcome.pp outcome));
   t.log <- outcome :: t.log;
   outcome
-
-let tri_of_verdict = function
-  | Cm_ocl.Eval.Holds -> `True
-  | Cm_ocl.Eval.Violated -> `False
-  | Cm_ocl.Eval.Undefined_verdict hint -> `Unknown hint
 
 (* A post-state violation is only trustworthy if the observation is
    stable: re-observe and compare.  Unequal observations mean another
@@ -623,16 +539,13 @@ let envs_equal a b =
   in
   canon a = canon b
 
-let stable_post_verdict t ~make_env ~user_token post_env post_verdict =
+let stable_post_verdict t ~observe post_env post_verdict =
   match post_verdict with
   | Cm_ocl.Eval.Violated when t.config.stability_check ->
     (* [~fresh:true]: the re-observation must reach the cloud, not the
        observation cache, or concurrent interference could be masked by
        replaying our own cached reads. *)
-    let second_env =
-      timed t `Observe_post (fun () -> make_env ~fresh:true ~user_token)
-    in
-    if envs_equal post_env second_env then post_verdict
+    if envs_equal post_env (observe ~fresh:true) then post_verdict
     else
       Cm_ocl.Eval.Undefined_verdict
         "state changed between observations: concurrent interference \
@@ -651,9 +564,15 @@ let outcome_base req response cloud_response conformance detail =
     covered_requirements = [];
     contract_requirements = [];
     snapshot_bytes = 0;
-    detail;
-    phases = None;
-    lock_acquisitions = 0
+    detail
+  }
+
+(* The pre-phase fields of a contracted request's outcome. *)
+let with_pre_phase prepared ~pre_verdict ~covered (outcome : Outcome.t) =
+  { outcome with
+    pre_verdict = Some pre_verdict;
+    covered_requirements = covered;
+    contract_requirements = (Runtime.contract prepared).Contract.requirements
   }
 
 (* One forwarded request, three possible worlds: the backend answered;
@@ -747,24 +666,22 @@ let forward t req =
      durably journaled". *)
   Option.iter (fun barrier -> barrier ()) t.config.journal_barrier;
   let result =
-    timed t `Forward (fun () ->
-        match t.resilient with
-        | None ->
-          t.forward_seen <- true;
-          Delivered (t.backend req)
-        | Some r ->
-          (* [call_verified] so the double-read stale defense also covers
-             forwarded GETs (a stale 200 for a deleted resource would flip a
-             definite verdict); for non-GETs it is exactly [call]. *)
-          (match Resilience.call_verified r req with
-           | Ok resp ->
-             t.forward_seen <- true;
-             Delivered resp
-           | Error (Resilience.Circuit_open _ as failure) ->
-             Not_delivered failure
-           | Error (Resilience.Exhausted _ as failure) ->
-             t.forward_seen <- true;
-             Unknown_outcome failure))
+    match t.resilient with
+    | None ->
+      t.forward_seen <- true;
+      Delivered (t.backend req)
+    | Some r ->
+      (* [call_verified] so the double-read stale defense also covers
+         forwarded GETs (a stale 200 for a deleted resource would flip a
+         definite verdict); for non-GETs it is exactly [call]. *)
+      (match Resilience.call_verified r req with
+       | Ok resp ->
+         t.forward_seen <- true;
+         Delivered resp
+       | Error (Resilience.Circuit_open _ as failure) -> Not_delivered failure
+       | Error (Resilience.Exhausted _ as failure) ->
+         t.forward_seen <- true;
+         Unknown_outcome failure)
   in
   (match result with
   | Delivered _ | Unknown_outcome _ ->
@@ -784,17 +701,13 @@ let degrade t req failure =
   match t.config.degradation with
   | Fail_closed ->
     let detail = "fail-closed: " ^ why in
-    let response =
-      Response.make
-        ~headers:(Cm_http.Headers.content_type_json Cm_http.Headers.empty)
-        ~body:(monitor_body (Outcome.Degraded detail) detail)
-        Status.service_unavailable
-    in
-    outcome_base req response None (Outcome.Degraded detail) detail
+    outcome_base req
+      (diagnostic Status.service_unavailable (Outcome.Degraded detail) detail)
+      None (Outcome.Degraded detail) detail
   | Fail_open_logged ->
     let detail = "fail-open: forwarded unmonitored (" ^ why ^ ")" in
     Option.iter (fun barrier -> barrier ()) t.config.journal_barrier;
-    (match timed t `Forward (fun () -> t.backend req) with
+    (match t.backend req with
      | response ->
        t.forward_seen <- true;
        invalidate_after_mutation t req;
@@ -809,32 +722,26 @@ let degrade t req failure =
 
 (* Retries exhausted after the request may have reached the cloud: the
    outcome of this exchange is genuinely three-valued. *)
-let unknown_outcome req failure =
-  let hint =
-    "forwarding outcome unknown: " ^ Resilience.failure_to_string failure
-  in
-  outcome_base req
-    (Response.error Status.gateway_timeout hint)
-    None (Outcome.Undefined hint) hint
+let unknown_hint failure =
+  "forwarding outcome unknown: " ^ Resilience.failure_to_string failure
 
-let not_monitored t req =
+(* Forward a request no contract judges; [judge] classifies the cloud's
+   answer into a conformance and a detail. *)
+let forward_uncontracted t req judge =
   match forward t req with
   | Not_delivered failure -> degrade t req failure
-  | Unknown_outcome failure -> unknown_outcome req failure
+  | Unknown_outcome failure ->
+    let hint = unknown_hint failure in
+    outcome_base req
+      (Response.error Status.gateway_timeout hint)
+      None (Outcome.Undefined hint) hint
   | Delivered response ->
-    { Outcome.request = req;
-      response;
-      cloud_response = Some response;
-      conformance = Outcome.Not_monitored;
-      pre_verdict = None;
-      post_verdict = None;
-      covered_requirements = [];
-      contract_requirements = [];
-      snapshot_bytes = 0;
-      detail = "no model entry for this URI";
-      phases = None;
-      lock_acquisitions = 0
-    }
+    let conformance, detail = judge response in
+    outcome_base req response (Some response) conformance detail
+
+let not_monitored t req =
+  forward_uncontracted t req (fun _ ->
+      (Outcome.Not_monitored, "no model entry for this URI"))
 
 let no_contract t classified req =
   match t.config.mode with
@@ -849,42 +756,14 @@ let no_contract t classified req =
         (Printf.sprintf "method not permitted by the model (allowed: %s)"
            allowed)
     in
-    { Outcome.request = req;
-      response;
-      cloud_response = None;
-      conformance = Outcome.Conform_denied;
-      pre_verdict = None;
-      post_verdict = None;
-      covered_requirements = [];
-      contract_requirements = [];
-      snapshot_bytes = 0;
-      detail = "no contract for trigger";
-      phases = None;
-      lock_acquisitions = 0
-    }
+    outcome_base req response None Outcome.Conform_denied
+      "no contract for trigger"
   | Oracle ->
-    (match forward t req with
-     | Not_delivered failure -> degrade t req failure
-     | Unknown_outcome failure -> unknown_outcome req failure
-     | Delivered response ->
-       let conformance =
-         if Response.is_success response then
-           Outcome.Functional_wrongly_accepted
-         else Outcome.Conform_denied
-       in
-       { Outcome.request = req;
-         response;
-         cloud_response = Some response;
-         conformance;
-         pre_verdict = None;
-         post_verdict = None;
-         covered_requirements = [];
-         contract_requirements = [];
-         snapshot_bytes = 0;
-         detail = "method has no contract in the model";
-         phases = None;
-         lock_acquisitions = 0
-       })
+    forward_uncontracted t req (fun response ->
+        ( (if Response.is_success response then
+             Outcome.Functional_wrongly_accepted
+           else Outcome.Conform_denied),
+          "method has no contract in the model" ))
 
 let tri_tag hint = function
   | Cm_ocl.Value.True -> `True
@@ -897,317 +776,199 @@ let auth_tag = function
 
 let functional_tag tri = tri_tag "functional precondition undefined" tri
 
-(* Timeout after forwarding, mid-contract: the request may or may not
-   have executed.  Re-probe the observed state and record how it
-   reconciles with the pre-snapshot, but keep the verdict three-valued —
-   the presence (or absence) of the effect cannot be attributed to this
-   request, so claiming [Conform] or [Post_violated] here would be a
-   coin-flip dressed as a verdict. *)
-let unknown_after_forward t ~prepared ~make_env ~user_token ~snapshot
-    ~pre_verdict ~covered ~requirements req failure =
-  let post_obs =
-    timed t `Observe_post (fun () ->
-        Runtime.observe prepared (make_env ~fresh:false ~user_token))
-  in
-  let unobservable = unobservable_verdict t "post-state" in
-  let post_verdict =
-    timed t `Eval_post (fun () ->
-        Runtime.check_post_observed prepared snapshot post_obs)
-    |> unless_unobservable unobservable
-  in
-  let hint =
-    "forwarding outcome unknown: " ^ Resilience.failure_to_string failure
-  in
-  let reconcile =
-    match post_verdict with
-    | Cm_ocl.Eval.Holds -> "re-probe: post-state consistent with execution"
-    | Cm_ocl.Eval.Violated ->
-      "re-probe: post-state does not show the expected effect"
-    | Cm_ocl.Eval.Undefined_verdict _ -> "re-probe: post-state unobservable"
-  in
-  let detail = hint ^ "; " ^ reconcile in
-  { (outcome_base req
-       (Response.error Status.gateway_timeout detail)
-       None (Outcome.Undefined hint) detail)
-    with
-    pre_verdict = Some pre_verdict;
-    post_verdict = Some post_verdict;
-    covered_requirements = covered;
-    contract_requirements = requirements;
-    snapshot_bytes = Runtime.snapshot_bytes snapshot
-  }
+(* Enforce: the cloud's answer reaches the client only under a holding
+   postcondition; otherwise the client gets the 500 diagnostic. *)
+let enforce_judgement cloud_response post_verdict =
+  match post_verdict with
+  | Cm_ocl.Eval.Holds -> (cloud_response, Outcome.Conform, "")
+  | Cm_ocl.Eval.Violated ->
+    let detail = "postcondition violated after forwarding" in
+    ( diagnostic Status.internal_server_error Outcome.Post_violated detail,
+      Outcome.Post_violated,
+      detail )
+  | Cm_ocl.Eval.Undefined_verdict hint ->
+    let detail = "postcondition undefined: " ^ hint in
+    ( diagnostic Status.internal_server_error (Outcome.Undefined hint) detail,
+      Outcome.Undefined hint,
+      detail )
+
+(* Oracle: compare the authorization and functional truth values of the
+   pre-image with the cloud's answer.  The postcondition is checked
+   ([post ()]) only for a permitted request the cloud performed with an
+   expected status. *)
+let oracle_judgement req (image : pre_image) cloud_response post =
+  let success = Response.is_success cloud_response in
+  match auth_tag image.pi_auth, functional_tag image.pi_functional with
+  | `Unknown hint, _ | _, `Unknown hint ->
+    (Outcome.Undefined hint, None, "precondition undefined")
+  | `False, _ ->
+    if success then
+      ( Outcome.Security_unauthorized_allowed,
+        None,
+        "specification forbids this subject, yet the cloud performed the \
+         request" )
+    else (Outcome.Conform_denied, None, "")
+  | `True, `False ->
+    if success then
+      ( Outcome.Functional_wrongly_accepted,
+        None,
+        "behavioural precondition false, yet the cloud performed the request"
+      )
+    else (Outcome.Conform_denied, None, "")
+  | `True, `True ->
+    if is_auth_failure cloud_response then
+      ( Outcome.Security_authorized_denied,
+        None,
+        "specification permits this subject, yet the cloud denied" )
+    else if not success then
+      ( Outcome.Functional_wrongly_rejected,
+        None,
+        Printf.sprintf "expected success, got %d" cloud_response.Response.status
+      )
+    else if
+      not
+        (List.mem cloud_response.Response.status
+           (expected_success_codes req.Request.meth))
+    then
+      ( Outcome.Functional_bad_status,
+        None,
+        Printf.sprintf "success status %d not in the expected set"
+          cloud_response.Response.status )
+    else begin
+      let post_verdict = post () in
+      match post_verdict with
+      | Cm_ocl.Eval.Holds -> (Outcome.Conform, Some post_verdict, "")
+      | Cm_ocl.Eval.Violated ->
+        (Outcome.Post_violated, Some post_verdict, "postcondition violated")
+      | Cm_ocl.Eval.Undefined_verdict hint ->
+        (Outcome.Undefined hint, Some post_verdict, "postcondition undefined")
+    end
 
 (* Everything downstream of the pre-phase: journal the pre-image,
-   forward, observe the post-state, classify the exchange.  Shared by
-   the live path ([monitored]) and crash recovery ([resume]), which
+   forward, observe the post-state, judge the exchange.  Shared by the
+   live path ([monitored]) and crash recovery ([resume]), which
    re-enters here with the *journaled* pre-image instead of re-running
    the pre-phase — after the effect is applied, re-observed guards
    would lie about the pre-state (a DELETE's item guard is false once
    the item is gone). *)
-let conclude t prepared req ~user_token ~make_env ~observe_now ~pre_verdict
-    ~auth ~functional ~covered ~snapshot =
-  Option.iter
-    (fun sink ->
-      sink
-        { pi_pre_verdict = pre_verdict;
-          pi_auth = auth;
-          pi_functional = functional;
-          pi_covered = covered;
-          pi_snapshot = snapshot
-        })
-    t.config.journal_pre;
-  let contract = Runtime.contract prepared in
-  let auth_tri = auth_tag auth in
-  let functional_tri = functional_tag functional in
-  match t.config.mode with
-  | Enforce ->
-    (match forward t req with
-     | Not_delivered failure ->
-       { (degrade t req failure) with
-         pre_verdict = Some pre_verdict;
-         covered_requirements = covered;
-         contract_requirements = contract.Contract.requirements
-       }
-     | Unknown_outcome failure ->
-       unknown_after_forward t ~prepared ~make_env ~user_token ~snapshot
-         ~pre_verdict ~covered
-         ~requirements:contract.Contract.requirements req failure
-     | Delivered cloud_response ->
-       let post_obs = timed t `Observe_post observe_now in
-       let unobservable = unobservable_verdict t "post-state" in
-       let post_verdict =
-         stable_post_verdict t ~make_env ~user_token
-           (Runtime.observed_env post_obs)
-           (timed t `Eval_post (fun () ->
-                Runtime.check_post_observed prepared snapshot post_obs))
-         |> unless_unobservable unobservable
+let conclude t prepared req ~observe (image : pre_image) =
+  Option.iter (fun sink -> sink image) t.config.journal_pre;
+  let with_pre =
+    with_pre_phase prepared ~pre_verdict:image.pi_pre_verdict
+      ~covered:image.pi_covered
+  in
+  let judged response cloud_response conformance post_verdict detail =
+    { (with_pre (outcome_base req response cloud_response conformance detail))
+      with
+      post_verdict;
+      snapshot_bytes = Runtime.snapshot_bytes image.pi_snapshot
+    }
+  in
+  (* Observe the post-state now; the returned thunk checks the
+     postcondition against it, re-observing for the stability check
+     when [stable]. *)
+  let observe_post ~stable =
+    let post_obs = Runtime.observe prepared (observe ~fresh:false) in
+    let unobservable = unobservable_verdict t "post-state" in
+    fun () ->
+      let verdict =
+        Runtime.check_post_observed prepared image.pi_snapshot post_obs
+      in
+      (if stable then
+         stable_post_verdict t ~observe (Runtime.observed_env post_obs) verdict
+       else verdict)
+      |> unless_unobservable unobservable
+  in
+  match forward t req with
+  | Not_delivered failure -> with_pre (degrade t req failure)
+  | Unknown_outcome failure ->
+    (* The request may or may not have executed.  Re-probe the observed
+       state and record how it reconciles with the pre-snapshot, but
+       keep the verdict three-valued — the presence (or absence) of the
+       effect cannot be attributed to this request, so claiming
+       [Conform] or [Post_violated] here would be a coin-flip dressed as
+       a verdict. *)
+    let post_verdict = observe_post ~stable:false () in
+    let hint = unknown_hint failure in
+    let reconcile =
+      match post_verdict with
+      | Cm_ocl.Eval.Holds -> "re-probe: post-state consistent with execution"
+      | Cm_ocl.Eval.Violated ->
+        "re-probe: post-state does not show the expected effect"
+      | Cm_ocl.Eval.Undefined_verdict _ -> "re-probe: post-state unobservable"
+    in
+    let detail = hint ^ "; " ^ reconcile in
+    judged
+      (Response.error Status.gateway_timeout detail)
+      None (Outcome.Undefined hint) (Some post_verdict) detail
+  | Delivered cloud_response ->
+    let post = observe_post ~stable:true in
+    (match t.config.mode with
+     | Enforce ->
+       let post_verdict = post () in
+       let response, conformance, detail =
+         enforce_judgement cloud_response post_verdict
        in
-       let snapshot_bytes = Runtime.snapshot_bytes snapshot in
-       (match tri_of_verdict post_verdict with
-        | `True ->
-          { (outcome_base req cloud_response (Some cloud_response)
-               Outcome.Conform "")
-            with
-            pre_verdict = Some pre_verdict;
-            post_verdict = Some post_verdict;
-            covered_requirements = covered;
-            contract_requirements = contract.Contract.requirements;
-            snapshot_bytes
-          }
-        | `False ->
-          let detail = "postcondition violated after forwarding" in
-          let response =
-            Response.make
-              ~headers:
-                (Cm_http.Headers.content_type_json Cm_http.Headers.empty)
-              ~body:(monitor_body Outcome.Post_violated detail)
-              Status.internal_server_error
-          in
-          { (outcome_base req response (Some cloud_response)
-               Outcome.Post_violated detail)
-            with
-            pre_verdict = Some pre_verdict;
-            post_verdict = Some post_verdict;
-            covered_requirements = covered;
-            contract_requirements = contract.Contract.requirements;
-            snapshot_bytes
-          }
-        | `Unknown hint ->
-          let detail = "postcondition undefined: " ^ hint in
-          let response =
-            Response.make
-              ~headers:
-                (Cm_http.Headers.content_type_json Cm_http.Headers.empty)
-              ~body:(monitor_body (Outcome.Undefined hint) detail)
-              Status.internal_server_error
-          in
-          { (outcome_base req response (Some cloud_response)
-               (Outcome.Undefined hint) detail)
-            with
-            pre_verdict = Some pre_verdict;
-            post_verdict = Some post_verdict;
-            covered_requirements = covered;
-            contract_requirements = contract.Contract.requirements;
-            snapshot_bytes
-          }))
-  | Oracle ->
-    (match forward t req with
-     | Not_delivered failure ->
-       { (degrade t req failure) with
-         pre_verdict = Some pre_verdict;
-         covered_requirements = covered;
-         contract_requirements = contract.Contract.requirements
-       }
-     | Unknown_outcome failure ->
-       unknown_after_forward t ~prepared ~make_env ~user_token ~snapshot
-         ~pre_verdict ~covered
-         ~requirements:contract.Contract.requirements req failure
-     | Delivered cloud_response ->
-       let post_obs = timed t `Observe_post observe_now in
-       let unobservable = unobservable_verdict t "post-state" in
-       let snapshot_bytes = Runtime.snapshot_bytes snapshot in
-       let success = Response.is_success cloud_response in
+       judged response (Some cloud_response) conformance (Some post_verdict)
+         detail
+     | Oracle ->
        let conformance, post_verdict, detail =
-         match auth_tri, functional_tri with
-         | `Unknown hint, _ | _, `Unknown hint ->
-           (Outcome.Undefined hint, None, "precondition undefined")
-         | `False, _ ->
-           if success then
-             ( Outcome.Security_unauthorized_allowed,
-               None,
-               "specification forbids this subject, yet the cloud performed \
-                the request" )
-           else (Outcome.Conform_denied, None, "")
-         | `True, `False ->
-           if success then
-             ( Outcome.Functional_wrongly_accepted,
-               None,
-               "behavioural precondition false, yet the cloud performed the \
-                request" )
-           else (Outcome.Conform_denied, None, "")
-         | `True, `True ->
-           if is_auth_failure cloud_response then
-             ( Outcome.Security_authorized_denied,
-               None,
-               "specification permits this subject, yet the cloud denied" )
-           else if not success then
-             ( Outcome.Functional_wrongly_rejected,
-               None,
-               Printf.sprintf "expected success, got %d"
-                 cloud_response.Response.status )
-           else if
-             not
-               (List.mem cloud_response.Response.status
-                  (expected_success_codes req.Request.meth))
-           then
-             ( Outcome.Functional_bad_status,
-               None,
-               Printf.sprintf "success status %d not in the expected set"
-                 cloud_response.Response.status )
-           else begin
-             let post_verdict =
-               stable_post_verdict t ~make_env ~user_token
-                 (Runtime.observed_env post_obs)
-                 (timed t `Eval_post (fun () ->
-                      Runtime.check_post_observed prepared snapshot post_obs))
-               |> unless_unobservable unobservable
-             in
-             match tri_of_verdict post_verdict with
-             | `True -> (Outcome.Conform, Some post_verdict, "")
-             | `False ->
-               ( Outcome.Post_violated,
-                 Some post_verdict,
-                 "postcondition violated" )
-             | `Unknown hint ->
-               ( Outcome.Undefined hint,
-                 Some post_verdict,
-                 "postcondition undefined" )
-           end
+         oracle_judgement req image cloud_response post
        in
-       { (outcome_base req cloud_response (Some cloud_response) conformance
-            detail)
-         with
-         pre_verdict = Some pre_verdict;
-         post_verdict;
-         covered_requirements = covered;
-         contract_requirements = contract.Contract.requirements;
-         snapshot_bytes
-       })
+       judged cloud_response (Some cloud_response) conformance post_verdict
+         detail)
 
-let monitored t classified prepared req =
-  let user_token = Request.auth_token req in
-  let make_env =
-    observe_env ?request_body:req.Request.body t classified prepared
-  in
-  let observe_now () =
-    Runtime.observe prepared (make_env ~fresh:false ~user_token)
-  in
-  let pre_obs = timed t `Observe_pre observe_now in
+(* The live pre-phase: observe and evaluate the precondition.  Enforce
+   blocks a request whose precondition is false or undefined with a 403
+   before it reaches the cloud; everything else is concluded. *)
+let monitored t req prepared observe =
+  let pre_obs = Runtime.observe prepared (observe ~fresh:false) in
   let unobservable = unobservable_verdict t "pre-state" in
-  let contract = Runtime.contract prepared in
   let pre_verdict =
-    timed t `Eval_pre (fun () -> Runtime.check_pre_observed prepared pre_obs)
+    Runtime.check_pre_observed prepared pre_obs
     |> unless_unobservable unobservable
   in
-  let covered =
-    timed t `Eval_pre (fun () ->
-        Runtime.covered_requirements_observed prepared pre_obs)
-  in
-  let auth =
-    timed t `Eval_pre (fun () -> Runtime.auth_guard_tri prepared pre_obs)
-  in
+  let covered = Runtime.covered_requirements_observed prepared pre_obs in
+  let auth = Runtime.auth_guard_tri prepared pre_obs in
   let functional =
     match unobservable with
     | Some _ -> Cm_ocl.Value.Unknown
-    | None ->
-      timed t `Eval_pre (fun () -> Runtime.functional_pre_tri prepared pre_obs)
+    | None -> Runtime.functional_pre_tri prepared pre_obs
   in
-  let conclude_now () =
-    let snapshot =
-      timed t `Eval_pre (fun () ->
-          Runtime.take_snapshot_observed prepared pre_obs)
-    in
-    conclude t prepared req ~user_token ~make_env ~observe_now ~pre_verdict
-      ~auth ~functional ~covered ~snapshot
+  let blocked conformance detail =
+    with_pre_phase prepared ~pre_verdict ~covered
+      (outcome_base req
+         (diagnostic Status.forbidden conformance detail)
+         None conformance detail)
   in
-  match t.config.mode with
-  | Enforce ->
-    (match tri_of_verdict pre_verdict with
-     | `False ->
-       let detail =
-         match auth_tag auth with
-         | `False -> "precondition violated: authorization"
-         | `True | `Unknown _ -> "precondition violated: behavioural guard"
-       in
-       let response = blocked_response Outcome.Conform_denied detail in
-       { (outcome_base req response None Outcome.Conform_denied detail) with
-         pre_verdict = Some pre_verdict;
-         covered_requirements = covered;
-         contract_requirements = contract.Contract.requirements
-       }
-     | `Unknown hint ->
-       let detail = "precondition undefined: " ^ hint in
-       let response = blocked_response (Outcome.Undefined hint) detail in
-       { (outcome_base req response None (Outcome.Undefined hint) detail) with
-         pre_verdict = Some pre_verdict;
-         covered_requirements = covered;
-         contract_requirements = contract.Contract.requirements
-       }
-     | `True -> conclude_now ())
-  | Oracle -> conclude_now ()
+  match t.config.mode, pre_verdict with
+  | Enforce, Cm_ocl.Eval.Violated ->
+    blocked Outcome.Conform_denied
+      (match auth_tag auth with
+       | `False -> "precondition violated: authorization"
+       | `True | `Unknown _ -> "precondition violated: behavioural guard")
+  | Enforce, Cm_ocl.Eval.Undefined_verdict hint ->
+    blocked (Outcome.Undefined hint) ("precondition undefined: " ^ hint)
+  | Enforce, Cm_ocl.Eval.Holds | Oracle, _ ->
+    conclude t prepared req ~observe
+      { pi_pre_verdict = pre_verdict;
+        pi_auth = auth;
+        pi_functional = functional;
+        pi_covered = covered;
+        pi_snapshot = Runtime.take_snapshot_observed prepared pre_obs
+      }
 
-let handle_inner t req =
-  match classify t req with
-  | None -> not_monitored t req
-  | Some classified ->
-    (match prepared_for t classified.trigger with
-     | None -> no_contract t classified req
-     | Some prepared -> monitored t classified prepared req)
-
-(* Recovery re-entry: finish a request whose pre-phase already ran (and
-   was journaled) before a crash.  Re-forwarding is idempotent by the
-   request's X-Request-Id — the backend's dedup replays the original
-   response if the first attempt got through — and the journaled
-   pre-image stands in for the pre-phase, whose guards can no longer be
-   observed truthfully once the effect may have been applied. *)
-let resume_inner t req (image : pre_image) =
+(* Classification, contract lookup and observation set-up, shared by
+   [handle] and [resume]: a contracted request goes to [contracted]
+   with its prepared contract and its observation. *)
+let dispatch t req contracted =
   match classify t req with
   | None -> not_monitored t req
   | Some classified ->
     (match prepared_for t classified.trigger with
      | None -> no_contract t classified req
      | Some prepared ->
-       let user_token = Request.auth_token req in
-       let make_env =
-         observe_env ?request_body:req.Request.body t classified prepared
-       in
-       let observe_now () =
-         Runtime.observe prepared (make_env ~fresh:false ~user_token)
-       in
-       conclude t prepared req ~user_token ~make_env ~observe_now
-         ~pre_verdict:image.pi_pre_verdict ~auth:image.pi_auth
-         ~functional:image.pi_functional ~covered:image.pi_covered
-         ~snapshot:image.pi_snapshot)
+       contracted prepared (observation t classified prepared req))
 
 (* Per-request exception containment.  A transport failure that escapes
    (no resilience layer configured) degrades the exchange; any other
@@ -1219,8 +980,6 @@ let resume_inner t req (image : pre_image) =
    crash campaigns would measure the containment instead of recovery. *)
 let contained t req run =
   t.forward_seen <- false;
-  reset_phases t;
-  t.lock_base <- Cm_core.Lockstat.total_acquisitions ();
   Option.iter Obs_cache.begin_request t.cache;
   match run () with
   | outcome -> record t outcome
@@ -1254,6 +1013,17 @@ let contained t req run =
            None (Outcome.Monitor_error detail) detail)
     end
 
-let handle t req = contained t req (fun () -> handle_inner t req)
-let resume t req image = contained t req (fun () -> resume_inner t req image)
+let handle t req = contained t req (fun () -> dispatch t req (monitored t req))
+
+(* Recovery re-entry: finish a request whose pre-phase already ran (and
+   was journaled) before a crash.  Re-forwarding is idempotent by the
+   request's X-Request-Id — the backend's dedup replays the original
+   response if the first attempt got through — and the journaled
+   pre-image stands in for the pre-phase, whose guards can no longer be
+   observed truthfully once the effect may have been applied. *)
+let resume t req image =
+  contained t req (fun () ->
+      dispatch t req (fun prepared observe ->
+          conclude t prepared req ~observe image))
+
 let handle_response t req = (handle t req).Outcome.response

@@ -111,10 +111,6 @@ type config = {
           sound under the single-writer-per-tenant discipline the shard
           layer enforces; out-of-band writers must {!flush_cache}.
           Ignored under the [Interpreted] engine, which never caches. *)
-  timings : bool;
-      (** Record per-phase timing into each outcome's
-          [Outcome.phases] (wall clock, or the virtual [clock] when one
-          is configured).  Off by default. *)
   journal_pre : (pre_image -> unit) option;
       (** Write-ahead hook: called with the pre-phase conclusion of a
           contracted request after evaluation and before forwarding.
@@ -141,7 +137,6 @@ val default_config :
   ?degradation:degradation ->
   ?clock:Cm_core.Clock.t ->
   ?cache:Obs_cache.scope ->
-  ?timings:bool ->
   ?journal_pre:(pre_image -> unit) ->
   ?journal_barrier:(unit -> unit) ->
   ?crash:Cm_core.Crash.t ->
@@ -153,9 +148,9 @@ val default_config :
   config
 (** Defaults: [Oracle] mode, [Compiled] engine, no stability check, no
     resilience layer, [Fail_open_logged], [Per_request] observation
-    cache, timings off.  What is not configurable: snapshots hold only
-    the values under [pre(...)] (§V); observation GETs are always
-    pruned to the matched contract's static read-set
+    cache.  What is not configurable: snapshots hold only the values
+    under [pre(...)] (§V); observation GETs are always pruned to the
+    matched contract's static read-set
     ({!Cm_ocl.Footprint}), which is verdict-preserving because pruned
     state is state no contract expression can read; and the compiled
     engine always evaluates incrementally. *)
@@ -224,13 +219,6 @@ val handle_response : t -> Cm_http.Request.t -> Cm_http.Response.t
     as a backend (monitors compose). *)
 
 val contracts : t -> Cm_contracts.Contract.t list
-
-val subscriptions :
-  t -> (Cm_uml.Behavior_model.trigger * Cm_contracts.Runtime.subscription) list
-(** The per-contract event-subscription maps the monitor derived at
-    {!create} from the static interference analysis and threaded into
-    {!Cm_contracts.Runtime.prepare} — one entry per prepared contract
-    that received a map (empty when the analysis could not run). *)
 
 val uri_table : t -> Cm_uml.Paths.entry list
 (** The derived URI entries the monitor classifies against. *)

@@ -71,18 +71,6 @@ let conformance_of_string text =
 
 let pp_conformance ppf c = Fmt.string ppf (conformance_to_string c)
 
-type phases = {
-  observe_pre_ns : float;
-  eval_pre_ns : float;
-  forward_ns : float;
-  observe_post_ns : float;
-  eval_post_ns : float;
-}
-
-let phases_total p =
-  p.observe_pre_ns +. p.eval_pre_ns +. p.forward_ns +. p.observe_post_ns
-  +. p.eval_post_ns
-
 type t = {
   request : Cm_http.Request.t;
   response : Cm_http.Response.t;
@@ -94,12 +82,6 @@ type t = {
   contract_requirements : string list;
   snapshot_bytes : int;
   detail : string;
-  phases : phases option;
-  lock_acquisitions : int;
-      (* instrumented-lock acquisitions attributed to this exchange
-         (process-global delta across the handle; exact on a
-         single-domain run, an over-approximation under parallel
-         serving — which only makes the zero-lock gate stricter) *)
 }
 
 let pp ppf outcome =

@@ -53,20 +53,6 @@ val conformance_of_string : string -> conformance option
 
 val pp_conformance : Format.formatter -> conformance -> unit
 
-type phases = {
-  observe_pre_ns : float;
-  eval_pre_ns : float;
-  forward_ns : float;
-  observe_post_ns : float;
-  eval_post_ns : float;
-}
-(** Per-phase time attribution for one exchange, in nanoseconds of the
-    monitor's {!Cm_core.Stopwatch} source (wall time normally, the
-    virtual clock under simulation).  The stability re-observation
-    counts toward [observe_post_ns]. *)
-
-val phases_total : phases -> float
-
 type t = {
   request : Cm_http.Request.t;
   response : Cm_http.Response.t;  (** what the monitor returned upstream *)
@@ -84,17 +70,6 @@ type t = {
           authorization failure) *)
   snapshot_bytes : int;
   detail : string;
-  phases : phases option;
-      (** per-phase timing when the monitor's config enables it; not
-          part of the exchange's semantics (excluded from trace
-          serialization and verdict comparisons) *)
-  lock_acquisitions : int;
-      (** instrumented-lock acquisitions ({!Cm_core.Lockstat})
-          attributed to this exchange: a process-global counter delta
-          across the handle.  Exact on a single-domain run, an
-          over-approximation under parallel serving — which only makes
-          the "monitored reads take zero locks" gate stricter.  Like
-          [phases], not part of the exchange's semantics. *)
 }
 
 val pp : Format.formatter -> t -> unit

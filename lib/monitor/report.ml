@@ -6,31 +6,7 @@ type summary = {
   undefined : int;
   not_monitored : int;
   by_conformance : (string * int) list;
-  timed : int;
-  phase_means : Outcome.phases option;
-  lock_acquisitions : int;
-      (* instrumented-lock acquisitions attributed to these exchanges;
-         0 across the board once the monitored path is lock-free *)
 }
-
-let mean_phases outcomes =
-  let timed =
-    List.filter_map (fun (o : Outcome.t) -> o.Outcome.phases) outcomes
-  in
-  match timed with
-  | [] -> (0, None)
-  | _ ->
-    let n = float_of_int (List.length timed) in
-    let sum f = List.fold_left (fun acc p -> acc +. f p) 0. timed /. n in
-    ( List.length timed,
-      Some
-        Outcome.
-          { observe_pre_ns = sum (fun p -> p.observe_pre_ns);
-            eval_pre_ns = sum (fun p -> p.eval_pre_ns);
-            forward_ns = sum (fun p -> p.forward_ns);
-            observe_post_ns = sum (fun p -> p.observe_post_ns);
-            eval_post_ns = sum (fun p -> p.eval_post_ns)
-          } )
 
 let summarize outcomes =
   let bump table key =
@@ -43,14 +19,7 @@ let summarize outcomes =
     (fun (o : Outcome.t) ->
       bump table (Outcome.conformance_to_string o.conformance))
     outcomes;
-  let timed, phase_means = mean_phases outcomes in
   { total = List.length outcomes;
-    timed;
-    phase_means;
-    lock_acquisitions =
-      List.fold_left
-        (fun acc (o : Outcome.t) -> acc + o.Outcome.lock_acquisitions)
-        0 outcomes;
     conform =
       count (fun (o : Outcome.t) -> o.conformance = Outcome.Conform);
     denied =
@@ -80,7 +49,6 @@ let render summary ~coverage =
   line "violations          : %d" summary.violations;
   line "undefined           : %d" summary.undefined;
   line "not monitored       : %d" summary.not_monitored;
-  line "lock acquisitions   : %d" summary.lock_acquisitions;
   if summary.by_conformance <> [] then begin
     line "";
     line "by verdict:";
@@ -88,18 +56,6 @@ let render summary ~coverage =
       (fun (verdict, count) -> line "  %-45s %d" verdict count)
       summary.by_conformance
   end;
-  (match summary.phase_means with
-   | None -> ()
-   | Some p ->
-     line "";
-     line "mean phase cost over %d timed exchange(s):" summary.timed;
-     let us label v = line "  %-14s %8.1f us" label (v /. 1e3) in
-     us "observe-pre" p.Outcome.observe_pre_ns;
-     us "eval-pre" p.Outcome.eval_pre_ns;
-     us "forward" p.Outcome.forward_ns;
-     us "observe-post" p.Outcome.observe_post_ns;
-     us "eval-post" p.Outcome.eval_post_ns;
-     us "total" (Outcome.phases_total p));
   line "";
   line "security requirement coverage:";
   List.iter
@@ -118,23 +74,9 @@ let to_json summary ~coverage =
       ("violations", Json.int summary.violations);
       ("undefined", Json.int summary.undefined);
       ("not_monitored", Json.int summary.not_monitored);
-      ("lock_acquisitions", Json.int summary.lock_acquisitions);
       ( "by_conformance",
         Json.obj
           (List.map (fun (k, v) -> (k, Json.int v)) summary.by_conformance) );
-      ( "phases",
-        match summary.phase_means with
-        | None -> Json.null
-        | Some p ->
-          Json.obj
-            [ ("timed", Json.int summary.timed);
-              ("observe_pre_ns", Json.float p.Outcome.observe_pre_ns);
-              ("eval_pre_ns", Json.float p.Outcome.eval_pre_ns);
-              ("forward_ns", Json.float p.Outcome.forward_ns);
-              ("observe_post_ns", Json.float p.Outcome.observe_post_ns);
-              ("eval_post_ns", Json.float p.Outcome.eval_post_ns);
-              ("total_ns", Json.float (Outcome.phases_total p))
-            ] );
       ( "coverage",
         Json.obj (List.map (fun (k, v) -> (k, Json.int v)) coverage) );
       ( "uncovered_requirements",

@@ -10,14 +10,6 @@ type summary = {
   undefined : int;
   not_monitored : int;
   by_conformance : (string * int) list;  (** verdict name -> count *)
-  timed : int;  (** outcomes that carried a phase breakdown *)
-  phase_means : Outcome.phases option;
-      (** mean per-phase cost over the timed outcomes (monitors run
-          with [timings = true]); [None] when nothing was timed *)
-  lock_acquisitions : int;
-      (** instrumented-lock acquisitions attributed to these exchanges
-          (sum of [Outcome.lock_acquisitions]); 0 across the board once
-          the monitored path is lock-free *)
 }
 
 val summarize : Outcome.t list -> summary

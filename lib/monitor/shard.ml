@@ -66,11 +66,6 @@ let shard_of t req =
 
 let tenant_keyed t req = t.tenant_keyed req
 
-let subscriptions t =
-  match t.monitors with
-  | [||] -> []
-  | monitors -> Monitor.subscriptions monitors.(0)
-
 let handle_all ?(domains = 1) t reqs =
   let reqs = Array.of_list reqs in
   let n = Array.length reqs in

@@ -48,13 +48,6 @@ val tenant_keyed : t -> Cm_http.Request.t -> bool
     couple shards through shared state.  Config-derived at {!create},
     admission-side, no replica involved. *)
 
-val subscriptions :
-  t -> (Cm_uml.Behavior_model.trigger * Cm_contracts.Runtime.subscription) list
-(** The per-contract event-subscription maps the replicas run with
-    ({!Monitor.subscriptions}); identical across shards, so reported
-    once.  A pool is fully shard-closed when every map has
-    [sub_shard_closed = true]. *)
-
 val handle_all :
   ?domains:int -> t -> Cm_http.Request.t list -> Outcome.t array
 (** Serve a batch: partition by {!shard_of} preserving arrival order,

@@ -136,9 +136,7 @@ let outcome_of_json json =
       covered_requirements;
       contract_requirements;
       snapshot_bytes;
-      detail;
-      phases = None;
-      lock_acquisitions = 0
+      detail
     }
 
 let to_jsonl outcomes =

@@ -1,10 +1,9 @@
 (** A model-driven test driver over the simulated cloud.
 
-    {!Cinder_driver} hard-codes the volume API's body shapes; this
-    driver derives everything else — URIs, item lookup, observation —
-    from the resource model, so instantiating model-based testing for a
-    new service takes one {!spec} record (which collection POST bodies
-    to send, nothing more). *)
+    The driver derives URIs, item lookup and observation from the
+    resource model, so instantiating model-based testing for a service
+    takes one {!spec} record (which collection POST bodies to send,
+    nothing more). *)
 
 type spec = {
   resources : Cm_uml.Resource_model.t;

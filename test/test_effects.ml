@@ -234,18 +234,6 @@ let test_unguarded_contracts_shard_closed () =
            (Interference.cross_shard_events s)))
     subs
 
-let test_runtime_image () =
-  let s = find_sub (subscriptions_exn cinder) "GET(Volumes)" in
-  let rt = Interference.to_runtime s in
-  Alcotest.(check bool) "runtime map not shard-closed" false
-    rt.Cm_contracts.Runtime.sub_shard_closed;
-  Alcotest.(check bool) "runtime map hears the identity event" true
-    rt.Cm_contracts.Runtime.sub_identity;
-  Alcotest.(check bool) "runtime map lists POST volume" true
-    (List.exists
-       (fun (m, r, _) -> m = Cm_http.Meth.POST && r = "volume")
-       rt.Cm_contracts.Runtime.sub_events)
-
 (* ---- the dynamic subscription-soundness oracle ---- *)
 
 let oracle_case name input =
@@ -367,9 +355,7 @@ let () =
           Alcotest.test_case "auth guard forces the identity subscription"
             `Quick test_auth_guard_forces_identity;
           Alcotest.test_case "unguarded contracts are shard-closed" `Quick
-            test_unguarded_contracts_shard_closed;
-          Alcotest.test_case "runtime image of a subscription" `Quick
-            test_runtime_image
+            test_unguarded_contracts_shard_closed
         ] );
       ( "subscription-oracle",
         [ oracle_case "cinder: 10k cases, maps sound" cinder;

@@ -4,7 +4,7 @@
 module Plan = Cm_testgen.Plan
 module Case = Cm_testgen.Case
 module Execute = Cm_testgen.Execute
-module Driver = Cm_testgen.Cinder_driver
+module Driver = Cm_testgen.Generic_driver
 module Mutant = Cm_mutation.Mutant
 module BM = Cm_uml.Behavior_model
 module Meth = Cm_http.Meth
@@ -81,7 +81,7 @@ let execution_tests =
   [ Alcotest.test_case "correct cloud: all cases pass or skip" `Quick (fun () ->
         let cases = Plan.all Cinder.behavior ~table ~assignment in
         let report =
-          Execute.run ~table ~machine:Cinder.behavior (Driver.driver ()) cases
+          Execute.run ~table ~machine:Cinder.behavior Driver.(driver cinder_spec) cases
         in
         Alcotest.(check int) "no bugs" 0 report.Execute.bugs;
         Alcotest.(check int) "no unexpected" 0 report.Execute.unexpected;
@@ -100,7 +100,7 @@ let execution_tests =
         in
         Alcotest.(check int) "one such case" 1 (List.length cases);
         let report =
-          Execute.run ~table ~machine:Cinder.behavior (Driver.driver ()) cases
+          Execute.run ~table ~machine:Cinder.behavior Driver.(driver cinder_spec) cases
         in
         Alcotest.(check int) "passed" 1 report.Execute.passed);
     Alcotest.test_case "generated suite kills the paper mutants" `Slow
@@ -110,7 +110,7 @@ let execution_tests =
           (fun m ->
             let report =
               Execute.run ~table ~machine:Cinder.behavior
-                (Driver.driver ~faults:m.Mutant.faults ())
+                Driver.(driver ~faults:m.Mutant.faults cinder_spec)
                 cases
             in
             Alcotest.(check bool) (m.Mutant.name ^ " killed") true
@@ -124,7 +124,7 @@ let execution_tests =
           let cases = Plan.boundary_cases Cinder.behavior ~table ~assignment in
           let report =
             Execute.run ~table ~machine:Cinder.behavior
-              (Driver.driver ~faults:m.Mutant.faults ())
+              Driver.(driver ~faults:m.Mutant.faults cinder_spec)
               cases
           in
           Alcotest.(check bool) "killed" true (report.Execute.bugs > 0));
@@ -135,7 +135,7 @@ let execution_tests =
           let cases = Plan.negative_cases Cinder.behavior ~table ~assignment in
           let report =
             Execute.run ~table ~machine:Cinder.behavior
-              (Driver.driver ~faults:m.Mutant.faults ())
+              Driver.(driver ~faults:m.Mutant.faults cinder_spec)
               cases
           in
           Alcotest.(check bool) "bug found" true (report.Execute.bugs > 0);
