@@ -80,6 +80,7 @@ type fixture = {
   cloud : Cm_cloudsim.Cloud.t;
   monitor_oracle : Cm_monitor.Monitor.t;
   monitor_enforce : Cm_monitor.Monitor.t;
+  reference : Cm_monitor.Reference.t;  (* Oracle mode, same cloud *)
   alice : string;
   volume_id : string;
 }
@@ -89,7 +90,11 @@ let security =
     assignment = Cm_rbac.Security_table.cinder_assignment
   }
 
-let make_fixture ?engine () =
+let ok_or_fail = function
+  | Ok v -> v
+  | Error msgs -> failwith (String.concat "; " msgs)
+
+let make_fixture () =
   let module Cloud = Cm_cloudsim.Cloud in
   let cloud = Cloud.create () in
   Cloud.seed cloud Cloud.my_project;
@@ -102,14 +107,12 @@ let make_fixture ?engine () =
   in
   let service = login "svc" "svc" in
   let make mode =
-    match
-      Cm_monitor.Monitor.create
-        (Cm_monitor.Monitor.default_config ~mode ?engine ~service_token:service
-           ~security Cm_uml.Cinder_model.resources Cm_uml.Cinder_model.behavior)
-        (Cloud.handle cloud)
-    with
-    | Ok m -> m
-    | Error msgs -> failwith (String.concat "; " msgs)
+    ok_or_fail
+      (Cm_monitor.Monitor.create
+         (Cm_monitor.Monitor.default_config ~mode ~service_token:service
+            ~security Cm_uml.Cinder_model.resources
+            Cm_uml.Cinder_model.behavior)
+         (Cloud.handle cloud))
   in
   let alice = login "alice" "alice-pw" in
   (* one volume to GET against *)
@@ -135,6 +138,11 @@ let make_fixture ?engine () =
   { cloud;
     monitor_oracle = make Cm_monitor.Monitor.Oracle;
     monitor_enforce = make Cm_monitor.Monitor.Enforce;
+    reference =
+      ok_or_fail
+        (Cm_monitor.Reference.create ~service_token:service ~security
+           Cm_uml.Cinder_model.resources Cm_uml.Cinder_model.behavior
+           (Cloud.handle cloud));
     alice;
     volume_id
   }
@@ -163,6 +171,7 @@ let request_stream ?(mix = Cm_workload.Workload.read_heavy) ~seed fx =
 type glance_fixture = {
   g_cloud : Cm_cloudsim.Cloud.t;
   g_monitor : Cm_monitor.Monitor.t;
+  g_reference : Cm_monitor.Reference.t;  (* Oracle mode, same cloud *)
   g_alice : string;
   image_id : string;
 }
@@ -172,7 +181,7 @@ let glance_security =
     assignment = Cm_rbac.Security_table.cinder_assignment
   }
 
-let make_glance_fixture ?engine () =
+let make_glance_fixture () =
   let module Cloud = Cm_cloudsim.Cloud in
   let cloud = Cloud.create () in
   Cloud.seed cloud Cloud.my_project;
@@ -185,15 +194,12 @@ let make_glance_fixture ?engine () =
   in
   let service = login "svc" "svc" in
   let monitor =
-    match
-      Cm_monitor.Monitor.create
-        (Cm_monitor.Monitor.default_config ?engine ~service_token:service
-           ~security:glance_security Cm_uml.Glance_model.resources
-           Cm_uml.Glance_model.behavior)
-        (Cloud.handle cloud)
-    with
-    | Ok m -> m
-    | Error msgs -> failwith (String.concat "; " msgs)
+    ok_or_fail
+      (Cm_monitor.Monitor.create
+         (Cm_monitor.Monitor.default_config ~service_token:service
+            ~security:glance_security Cm_uml.Glance_model.resources
+            Cm_uml.Glance_model.behavior)
+         (Cloud.handle cloud))
   in
   let alice = login "alice" "alice-pw" in
   let create =
@@ -215,7 +221,16 @@ let make_glance_fixture ?engine () =
        | _ -> failwith "no image id")
     | None -> failwith "no create body"
   in
-  { g_cloud = cloud; g_monitor = monitor; g_alice = alice; image_id }
+  { g_cloud = cloud;
+    g_monitor = monitor;
+    g_reference =
+      ok_or_fail
+        (Cm_monitor.Reference.create ~service_token:service
+           ~security:glance_security Cm_uml.Glance_model.resources
+           Cm_uml.Glance_model.behavior (Cloud.handle cloud));
+    g_alice = alice;
+    image_id
+  }
 
 let get_image_request fx =
   Cm_http.Request.make Cm_http.Meth.GET

@@ -582,13 +582,6 @@ let chaos_cmd =
 
 (* ---- replay: journal -> verdict stream, bit-identical to live ---- *)
 
-let both_engines =
-  Cloudmon.Contracts.Runtime.[ Interpreted; Compiled ]
-
-let engine_name = function
-  | Cloudmon.Contracts.Runtime.Interpreted -> "interpreted"
-  | Cloudmon.Contracts.Runtime.Compiled -> "compiled"
-
 let replay mix_name seed =
   let module W = Cloudmon.Workload in
   let module Scenario = Cloudmon.Mutation.Scenario in
@@ -606,9 +599,9 @@ let replay mix_name seed =
     List.iter
       (fun (m : W.mix) ->
         let trace = m.W.compile ~seed in
-        (* Record once live (default engine), then replay the journal on
-           a fresh cloud under both engines: all three verdict streams
-           must be bit-identical. *)
+        (* Record once live, then replay the journal on a fresh cloud
+           through production and through the reference: all three
+           verdict streams must be bit-identical. *)
         match Scenario.setup_journaled ~cross:true () with
         | Error msgs ->
           List.iter prerr_endline msgs;
@@ -619,15 +612,15 @@ let replay mix_name seed =
           let events = Scenario.journal_events jctx in
           let live = Jmonitor.journaled_verdict_lines events in
           List.iter
-            (fun engine ->
-              match Scenario.replay_journal ~cross:true ~engine events with
+            (fun (label, replay) ->
+              match replay events with
               | Error msgs ->
                 List.iter prerr_endline msgs;
                 incr failures
               | Ok replayed ->
                 let ok = replayed = live in
                 Printf.printf "%-12s %-12s %4d verdicts  %s\n" m.W.mix_name
-                  (engine_name engine) (List.length live)
+                  label (List.length live)
                   (if ok then "bit-identical" else "DIVERGED");
                 if not ok then begin
                   incr failures;
@@ -641,7 +634,9 @@ let replay mix_name seed =
                           (fun i _ -> i < List.length live)
                           replayed))
                 end)
-            both_engines)
+            [ ("production", Scenario.replay_journal ~cross:true ?mode:None);
+              ("reference", Scenario.replay_reference ~cross:true ?mode:None)
+            ])
       mixes;
     if !failures = 0 then 0 else 1
   end
@@ -655,7 +650,8 @@ let replay_cmd =
     (Cmd.info "replay"
        ~doc:
          "record a workload through the journaled monitor, replay the \
-          journal against a fresh cloud under both engines, and \
+          journal against a fresh cloud through production and through \
+          the reference monitor, and \
           check the verdict streams are bit-identical")
     Term.(const replay $ replay_mix_arg $ seed_arg)
 
@@ -974,7 +970,7 @@ let sb_resilience_baseline_arg =
 
 (* ---- workload: the traffic-mix DSL ---- *)
 
-let workload list_flag mix_name seed trace_flag fuzz_cases kill_flag engines
+let workload list_flag mix_name seed trace_flag fuzz_cases kill_flag
     domains chaos_flag =
   let module W = Cloudmon.Workload in
   let module Mutant = Cloudmon.Mutation.Mutant in
@@ -1044,10 +1040,10 @@ let workload list_flag mix_name seed trace_flag fuzz_cases kill_flag engines
   if kill_flag then begin
     ran := true;
     List.iter
-      (fun engine ->
-        Printf.printf "=== cross kill matrix (%s, %d domains) ===\n"
-          (engine_name engine) domains;
-        match Campaign.run_cross ~domains ~engine Mutant.all_extended with
+      (fun (label, run) ->
+        Printf.printf "=== cross kill matrix (%s, %d domains) ===\n" label
+          domains;
+        match run ?domains:(Some domains) Mutant.all_extended with
         | Error msgs ->
           List.iter prerr_endline msgs;
           incr failures
@@ -1055,7 +1051,9 @@ let workload list_flag mix_name seed trace_flag fuzz_cases kill_flag engines
           print_string (Campaign.kill_matrix results);
           print_newline ();
           if not (Campaign.all_killed results) then incr failures)
-      engines
+      [ ("reference", Campaign.run_cross_reference);
+        ("production", Campaign.run_cross)
+      ]
   end;
   if chaos_flag then begin
     ran := true;
@@ -1097,23 +1095,10 @@ let wl_fuzz_arg =
 let wl_kill_arg =
   let doc =
     "Run the cross-service kill matrix (baseline plus the full extended \
-     mutant catalog under the cross workload)."
+     mutant catalog under the cross workload), judged by the reference \
+     monitor and by production."
   in
   Arg.(value & flag & info [ "kill-matrix" ] ~doc)
-
-let wl_engine_arg =
-  let doc =
-    "With --kill-matrix: contract engine — interpreted (the reference), \
-     compiled (production), or both (default)."
-  in
-  let engines =
-    Arg.enum
-      [ ("interpreted", [ Cloudmon.Contracts.Runtime.Interpreted ]);
-        ("compiled", [ Cloudmon.Contracts.Runtime.Compiled ]);
-        ("both", both_engines)
-      ]
-  in
-  Arg.(value & opt engines both_engines & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let wl_domains_arg =
   let doc = "With --kill-matrix: fan campaign entries over N domains." in
@@ -1135,7 +1120,7 @@ let workload_cmd =
           kill/chaos matrices")
     Term.(
       const workload $ wl_list_arg $ wl_mix_arg $ seed_arg $ wl_trace_arg
-      $ wl_fuzz_arg $ wl_kill_arg $ wl_engine_arg $ wl_domains_arg
+      $ wl_fuzz_arg $ wl_kill_arg $ wl_domains_arg
       $ wl_chaos_arg)
 
 let serve_bench_cmd =

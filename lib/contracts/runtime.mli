@@ -11,24 +11,11 @@
     over a shared slot plan — so the per-request work is a frame diff
     plus direct closure calls or memoized replays. *)
 
-type engine =
-  | Interpreted
-      (** walk the AST with {!Cm_ocl.Eval} on every check — the reference
-          semantics the compiled engine is differentially tested
-          against *)
-  | Compiled
-      (** evaluate staged closures ({!Cm_ocl.Compile}) over one
-          persistent frame per contract: re-observed values are diffed
-          in ({!Cm_ocl.Compile.refresh}) and checks replay memoized
-          verdicts whenever their dependency slots are unchanged.
-          Verdict-identical to [Interpreted] (diffing is value-based) *)
-
 type prepared
 (** A contract with its snapshot plan compiled and its expressions
     staged (do this once, not per request). *)
 
-val prepare : ?engine:engine -> Contract.t -> prepared
-(** Defaults: [Compiled]. *)
+val prepare : Contract.t -> prepared
 
 val contract : prepared -> Contract.t
 
@@ -46,8 +33,8 @@ type observed
 val observe : prepared -> Cm_ocl.Eval.env -> observed
 (** Project an environment.  Returns the contract's one [observed]
     record, updated in place — an earlier observation is not valid
-    after the next.  Under {!Compiled} every root is value-diffed into
-    the persistent frame. *)
+    after the next: every root is value-diffed into the contract's
+    persistent frame ({!Cm_ocl.Compile.refresh}). *)
 
 val observed_env : observed -> Cm_ocl.Eval.env
 
@@ -95,6 +82,4 @@ type eval_stats = {
 }
 
 val eval_stats : prepared -> eval_stats
-(** Counters since prepare (or the last reset).  [evals] is also
-    maintained under {!Interpreted}, where everything else stays 0, so
-    the two engines can be compared on identical workloads. *)
+(** Counters since prepare. *)

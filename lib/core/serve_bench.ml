@@ -7,6 +7,7 @@ module Json = Cm_json.Json
 module Monitor = Cm_monitor.Monitor
 module Shard = Cm_monitor.Shard
 module Obs_cache = Cm_monitor.Obs_cache
+module Reference = Cm_monitor.Reference
 module Outcome = Cm_monitor.Outcome
 module Prng = Cm_core.Prng
 
@@ -150,18 +151,18 @@ let workload spec world =
 
 (* ---- monitor pools --------------------------------------------------- *)
 
-let pool_config ?(cache = Obs_cache.Cross_request) ?engine ?resilience world =
-  Monitor.default_config ~cache ?engine ?resilience
-    ~service_token:world.service_token
-    ~service_token_for:(service_token_for world)
-    ~security:
-      { Cm_contracts.Generate.table = Cm_rbac.Security_table.cinder;
-        assignment = Cm_rbac.Security_table.cinder_assignment
-      }
+let security =
+  { Cm_contracts.Generate.table = Cm_rbac.Security_table.cinder;
+    assignment = Cm_rbac.Security_table.cinder_assignment
+  }
+
+let pool_config ?(cache = Obs_cache.Cross_request) ?resilience world =
+  Monitor.default_config ~cache ?resilience ~service_token:world.service_token
+    ~service_token_for:(service_token_for world) ~security
     Cm_uml.Cinder_model.resources Cm_uml.Cinder_model.behavior
 
-let make_pool ?cache ?engine ?resilience ~shards world backend =
-  Shard.create ~shards (pool_config ?cache ?engine ?resilience world) backend
+let make_pool ?cache ?resilience ~shards world backend =
+  Shard.create ~shards (pool_config ?cache ?resilience world) backend
 
 (* ---- measurements ---------------------------------------------------- *)
 
@@ -203,8 +204,8 @@ type latency = {
 
 type eval_comparison = {
   ev_full_per_req : float;
-      (* contract evaluations/request, Interpreted (every check evaluates) *)
-  ev_inc_per_req : float;  (* same workload, Compiled (memoized) *)
+      (* contract evaluations/request, reference (every check evaluates) *)
+  ev_inc_per_req : float;  (* same workload, production (memoized) *)
   ev_reduction : float;  (* full/incremental — the >= 3x target *)
   ev_replays : int;  (* memoized verdict replays in the incremental run *)
   ev_node_hit_rate : float;  (* inner connective cache hit rate *)
@@ -226,7 +227,9 @@ type report = {
       (* best *valid* multi-domain req/s over the 1-domain req/s; 1.0
          when the host cannot run any multi-domain point *)
   rp_verdicts_consistent : bool;
-  rp_gets_pruned : float;  (* observation GETs per monitored request *)
+  rp_gets_pruned : float;
+      (* observation GETs per monitored request without a cache: the
+         cached run's cache lookups (hits + misses) per request *)
   rp_gets_cached : float;
   rp_cache : Obs_cache.stats;
   rp_handle_ns : float;  (* single-domain ns per monitored request *)
@@ -276,9 +279,11 @@ let run_scaling spec domains =
                outcomes)
       }
 
-(* GETs the monitor adds per monitored request: count every GET the
-   backend sees, minus the workload's own forwarded GETs. *)
-let run_gets spec ~cache =
+(* GETs the monitor adds per monitored request under the cross-request
+   cache: count every GET the backend sees, minus the workload's own
+   forwarded GETs.  Without a cache every lookup would have been a GET,
+   so the uncached count is the lookups (hits + misses) per request. *)
+let run_gets spec =
   let world = setup spec in
   let reqs = workload spec world in
   let gets = Atomic.make 0 in
@@ -286,17 +291,19 @@ let run_gets spec ~cache =
     if req.Request.meth = Meth.GET then Atomic.incr gets;
     Cloud.handle world.cloud req
   in
-  match make_pool ~cache ~shards:1 world backend with
+  match make_pool ~shards:1 world backend with
   | Error msgs -> Error msgs
   | Ok pool ->
     let workload_gets =
       List.length (List.filter (fun r -> r.Request.meth = Meth.GET) reqs)
     in
     ignore (Shard.handle_all ~domains:1 pool reqs);
-    let observation_gets = Atomic.get gets - workload_gets in
+    let stats = Shard.cache_stats pool in
+    let per_request n = float_of_int n /. float_of_int (List.length reqs) in
     Ok
-      ( float_of_int observation_gets /. float_of_int (List.length reqs),
-        Shard.cache_stats pool )
+      ( per_request (stats.Obs_cache.hits + stats.Obs_cache.misses),
+        per_request (Atomic.get gets - workload_gets),
+        stats )
 
 (* The contention gate's subject: instrumented-lock acquisitions per
    request on the monitored {e read} path.  Serve the workload's GETs
@@ -419,19 +426,29 @@ let run_open_loop spec ~rate_per_s =
 
 (* ---- incremental vs full re-evaluation ------------------------------- *)
 
-(* The reference engine evaluates every check, so its count is the
-   full re-evaluation baseline the memoized compiled engine is
-   measured against. *)
-let run_eval_count spec engine =
+(* Contract evaluations per request in production and in the reference
+   monitor, which evaluates every check: the full re-evaluation
+   baseline production's memoized count is measured against. *)
+let run_eval_count spec =
   let world = setup spec in
   let reqs = workload spec world in
-  match
-    make_pool ~engine ~shards:spec.projects world (Cloud.handle world.cloud)
-  with
+  match make_pool ~shards:spec.projects world (Cloud.handle world.cloud) with
   | Error msgs -> Error msgs
   | Ok pool ->
     ignore (Shard.handle_all ~domains:1 pool reqs);
     Ok (Shard.eval_stats pool, List.length reqs)
+
+let run_reference_evals spec =
+  let world = setup spec in
+  let reqs = workload spec world in
+  Result.map
+    (fun reference ->
+      List.iter (fun req -> ignore (Reference.handle reference req)) reqs;
+      Reference.evals reference)
+    (Reference.create ~service_token:world.service_token
+       ~service_token_for:(service_token_for world) ~security
+       Cm_uml.Cinder_model.resources Cm_uml.Cinder_model.behavior
+       (Cloud.handle world.cloud))
 
 (* One memoized-hit check, timed and allocation-audited: prepare the
    paper's DELETE(volume) contract, observe once, then
@@ -489,19 +506,17 @@ let measure_hit ?(checks = 200_000) () =
 
 let run_eval_comparison spec =
   let ( let* ) = Result.bind in
-  let* full_stats, n = run_eval_count spec Cm_contracts.Runtime.Interpreted in
-  let* inc_stats, _ = run_eval_count spec Cm_contracts.Runtime.Compiled in
-  let per_req (s : Cm_contracts.Runtime.eval_stats) =
-    float_of_int s.evals /. float_of_int n
-  in
+  let* full_evals = run_reference_evals spec in
+  let* inc_stats, n = run_eval_count spec in
+  let per_req evals = float_of_int evals /. float_of_int n in
   let hit_ns, hit_words = measure_hit () in
   let node_total = inc_stats.node_hits + inc_stats.node_evals in
   Ok
-    { ev_full_per_req = per_req full_stats;
-      ev_inc_per_req = per_req inc_stats;
+    { ev_full_per_req = per_req full_evals;
+      ev_inc_per_req = per_req inc_stats.evals;
       ev_reduction =
         (if inc_stats.evals = 0 then Float.infinity
-         else float_of_int full_stats.evals /. float_of_int inc_stats.evals);
+         else float_of_int full_evals /. float_of_int inc_stats.evals);
       ev_replays = inc_stats.replays;
       ev_node_hit_rate =
         (if node_total = 0 then 0.
@@ -545,10 +560,7 @@ let run ?(spec = default_spec) ?(domains_list = [ 1; 2; 4 ]) ?rate
      parked pool workers would tax it (minor GCs rendezvous across all
      live domains), so drain the shared pool before measuring. *)
   Cm_core.Domain_pool.shutdown_shared ();
-  let* gets_pruned, _ = run_gets spec ~cache:Obs_cache.Disabled in
-  let* gets_cached, cache_stats =
-    run_gets spec ~cache:Obs_cache.Cross_request
-  in
+  let* gets_pruned, gets_cached, cache_stats = run_gets spec in
   let* handle_ns = run_handle_ns spec in
   (* Self-calibrate the open-loop rate to ~70% of the closed-loop
      capacity unless the caller pins one: past capacity the queue only

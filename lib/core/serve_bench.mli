@@ -61,10 +61,11 @@ type latency = {
 
 type eval_comparison = {
   ev_full_per_req : float;
-      (** contract evaluations per request under the [Interpreted]
-          reference engine, which evaluates every check *)
+      (** contract evaluations per request under the reference monitor
+          ({!Cm_monitor.Reference}), which evaluates every check *)
   ev_inc_per_req : float;
-      (** same workload under the memoized [Compiled] engine *)
+      (** same workload through the production shard pool, which
+          memoizes *)
   ev_reduction : float;  (** full/incremental — the >= 3x target *)
   ev_replays : int;  (** memoized verdict replays, incremental run *)
   ev_node_hit_rate : float;  (** inner connective cache hit rate *)
@@ -89,9 +90,13 @@ type report = {
   rp_verdicts_consistent : bool;
       (** verdict sequences identical at every measured domain count *)
   rp_gets_pruned : float;
-      (** observation GETs per monitored request, no cache (the
-          observer always prunes to the contract's read-set) *)
-  rp_gets_cached : float;  (** with the cross-request cache *)
+      (** observation GETs per monitored request without a cache (the
+          observer always prunes to the contract's read-set): the
+          cross-request run's cache lookups (hits + misses) per request,
+          each of which would otherwise have been a GET *)
+  rp_gets_cached : float;
+      (** backend observation GETs per request with the cross-request
+          cache *)
   rp_cache : Cm_monitor.Obs_cache.stats;
   rp_handle_ns : float;  (** single-domain ns per monitored request *)
   rp_latency : latency;
@@ -140,8 +145,8 @@ val run_open_loop : spec -> rate_per_s:float -> (latency, string list) result
     positive. *)
 
 val run_eval_comparison : spec -> (eval_comparison, string list) result
-(** Replay the workload under the [Interpreted] reference engine and
-    the [Compiled] engine and compare evaluation counts; also runs the
+(** Replay the workload through the reference monitor and through the
+    production shard pool and compare evaluation counts; also runs the
     memoized-hit microbench. *)
 
 val run_resilience_overhead :

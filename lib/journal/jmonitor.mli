@@ -74,6 +74,10 @@ val verdicts : t -> Event.verdict_record list
 val verdict_lines : t -> string list
 (** {!verdicts} through {!Event.verdict_line}. *)
 
+val verdict_of :
+  seq:int -> rid:string -> Cm_monitor.Outcome.t -> Event.verdict_record
+(** The verdict record {!handle} journals for an outcome. *)
+
 val verdict_for_rid : t -> string -> Event.verdict_record option
 (** Latest verdict for an idempotency key.  A client that crashed
     mid-call asks this after recovery: [Some v] means the exchange

@@ -35,7 +35,6 @@ type pre_image = {
 
 type config = {
   mode : mode;
-  engine : Runtime.engine;
   service_token : string;
   service_token_for : (string -> string option) option;
   resources : Resource_model.t;
@@ -57,11 +56,11 @@ type config = {
   crash : Cm_core.Crash.t option;  (* crash-point injection sites *)
 }
 
-let default_config ?(mode = Oracle) ?(engine = Runtime.Compiled)
-    ?(stability_check = false) ?resilience ?(degradation = Fail_open_logged)
-    ?clock ?(cache = Obs_cache.Per_request) ?journal_pre ?journal_barrier
-    ?crash ~service_token ?service_token_for ?security resources behavior =
-  { mode; engine; service_token; service_token_for; resources; behavior;
+let default_config ?(mode = Oracle) ?(stability_check = false) ?resilience
+    ?(degradation = Fail_open_logged) ?clock ?(cache = Obs_cache.Per_request)
+    ?journal_pre ?journal_barrier ?crash ~service_token ?service_token_for
+    ?security resources behavior =
+  { mode; service_token; service_token_for; resources; behavior;
     security; stability_check; resilience; degradation; clock; cache;
     journal_pre; journal_barrier; crash
   }
@@ -229,7 +228,7 @@ let create config backend =
            let prepared =
              List.map
                (fun c ->
-                 (c.Contract.trigger, Runtime.prepare ~engine:config.engine c))
+                 (c.Contract.trigger, Runtime.prepare c))
                contract_list
            in
            let by_trigger = Hashtbl.create (2 * List.length prepared + 1) in
@@ -268,11 +267,10 @@ let create config backend =
                     Resilience.degraded_response failure)
              | None -> backend
            in
-           (* the reference never caches, whatever [config.cache] says *)
            let cache =
-             match config.engine, config.cache with
-             | Runtime.Interpreted, _ | _, Obs_cache.Disabled -> None
-             | Runtime.Compiled, scope -> Some (Obs_cache.create scope)
+             match config.cache with
+             | Obs_cache.Disabled -> None
+             | scope -> Some (Obs_cache.create scope)
            in
            let observer_base =
              Observer.of_entries ~backend:obs_backend
@@ -459,12 +457,8 @@ let observation t classified prepared (req : Request.t) =
        | None -> observer)
     | None -> observer
   in
-  (* the reference observes every root and sub-collection *)
   let observer =
-    Observer.with_footprint observer
-      (match t.config.engine with
-       | Runtime.Compiled -> Some (Runtime.footprint prepared)
-       | Runtime.Interpreted -> None)
+    Observer.with_footprint observer (Some (Runtime.footprint prepared))
   in
   let user_token = Request.auth_token req in
   fun ~fresh ->

@@ -53,19 +53,6 @@ type pre_image = {
 
 type config = {
   mode : mode;
-  engine : Cm_contracts.Runtime.engine;
-      (** [Compiled] (the default, and what production runs) checks
-          contracts through staged closures over a persistent
-          value-diffed frame, replaying memoized verdicts when nothing a
-          check depends on changed.  [Interpreted] is the reference
-          engine: it walks the AST on every check and exists so that
-          differential tests and oracles have an executable semantics
-          to compare the compiled path against.  The reference also
-          observes the full state on every exchange: it reads every
-          root and sub-collection the model exposes, not just the
-          contract's footprint, and builds no observation cache, so
-          [cache] does not apply to it.  Both produce identical
-          outcomes. *)
   service_token : string;  (** the monitor's own cloud credentials *)
   service_token_for : (string -> string option) option;
       (** Per-project service credentials: clouds scope tokens to one
@@ -110,7 +97,8 @@ type config = {
           reuses across exchanges (invalidated on forwarded mutations) —
           sound under the single-writer-per-tenant discipline the shard
           layer enforces; out-of-band writers must {!flush_cache}.
-          Ignored under the [Interpreted] engine, which never caches. *)
+          [Disabled] builds no cache: every observation reads the
+          cloud. *)
   journal_pre : (pre_image -> unit) option;
       (** Write-ahead hook: called with the pre-phase conclusion of a
           contracted request after evaluation and before forwarding.
@@ -131,7 +119,6 @@ type config = {
 
 val default_config :
   ?mode:mode ->
-  ?engine:Cm_contracts.Runtime.engine ->
   ?stability_check:bool ->
   ?resilience:Resilience.policy ->
   ?degradation:degradation ->
@@ -146,14 +133,16 @@ val default_config :
   Cm_uml.Resource_model.t ->
   Cm_uml.Behavior_model.t ->
   config
-(** Defaults: [Oracle] mode, [Compiled] engine, no stability check, no
-    resilience layer, [Fail_open_logged], [Per_request] observation
-    cache.  What is not configurable: snapshots hold only the values
-    under [pre(...)] (§V); observation GETs are always pruned to the
-    matched contract's static read-set
-    ({!Cm_ocl.Footprint}), which is verdict-preserving because pruned
-    state is state no contract expression can read; and the compiled
-    engine always evaluates incrementally. *)
+(** Defaults: [Oracle] mode, no stability check, no resilience layer,
+    [Fail_open_logged], [Per_request] observation cache.  What is not
+    configurable: snapshots hold only the values under [pre(...)] (§V);
+    observation GETs are always pruned to the matched contract's static
+    read-set ({!Cm_ocl.Footprint}), which is verdict-preserving because
+    pruned state is state no contract expression can read; and contracts
+    are always checked through staged closures that replay memoized
+    verdicts when nothing a check depends on changed
+    ({!Cm_contracts.Runtime}).  The executable semantics all of this is
+    tested against is {!Reference}, which shares none of it. *)
 
 type t
 
@@ -189,7 +178,7 @@ val cache_stats : t -> Obs_cache.stats option
 
 val eval_stats : t -> Cm_contracts.Runtime.eval_stats
 (** Aggregated incremental-evaluation counters over every prepared
-    contract (zeros under the [Interpreted] engine except [evals]). *)
+    contract. *)
 
 val flush_cache : t -> unit
 (** Drop all cached observations.  Out-of-band writers (anything that

@@ -10,39 +10,48 @@ let faults_of = function
   | Some m -> m.Mutant.faults
   | None -> Cm_cloudsim.Faults.none
 
+let result_of mutant outcomes =
+  let violations = Cm_monitor.Report.violations outcomes in
+  { mutant;
+    killed = violations <> [];
+    exchanges = List.length outcomes;
+    violations;
+    first_violation =
+      (match violations with
+       | first :: _ ->
+         Some
+           (Cm_monitor.Outcome.conformance_to_string
+              first.Cm_monitor.Outcome.conformance)
+       | [] -> None)
+  }
+
 (* Generic single run: [setup] builds the context for the mutant's
    faults, [workload] drives it; both campaign flavours (standard and
    cross) instantiate this. *)
 let run_one_with ~setup ~workload mutant =
-  match setup ~faults:(faults_of mutant) () with
-  | Error msgs -> Error msgs
-  | Ok ctx ->
-    workload ctx;
-    let outcomes = Cm_monitor.Monitor.outcomes ctx.Scenario.monitor in
-    let violations = Cm_monitor.Report.violations outcomes in
-    Ok
-      { mutant;
-        killed = violations <> [];
-        exchanges = List.length outcomes;
-        violations;
-        first_violation =
-          (match violations with
-           | first :: _ ->
-             Some
-               (Cm_monitor.Outcome.conformance_to_string
-                  first.Cm_monitor.Outcome.conformance)
-           | [] -> None)
-      }
+  Result.map
+    (fun ctx ->
+      workload ctx;
+      result_of mutant (Cm_monitor.Monitor.outcomes ctx.Scenario.monitor))
+    (setup ~faults:(faults_of mutant) ())
 
 let run_one mutant =
   run_one_with
     ~setup:(fun ~faults () -> Scenario.setup ~faults ())
     ~workload:Scenario.standard mutant
 
-let run_cross_one ?engine mutant =
+let run_cross_one mutant =
   run_one_with
-    ~setup:(fun ~faults () -> Scenario.setup_cross ?engine ~faults ())
+    ~setup:(fun ~faults () -> Scenario.setup_cross ~faults ())
     ~workload:Scenario.cross mutant
+
+let run_cross_reference_one mutant =
+  Result.map
+    (fun rctx ->
+      ignore (Scenario.run_reference rctx Cm_workload.Workload.cross_trace);
+      result_of mutant
+        (Cm_monitor.Reference.outcomes rctx.Scenario.reference))
+    (Scenario.setup_reference ~cross:true ~faults:(faults_of mutant) ())
 
 let sequence results =
   let rec loop acc = function
@@ -55,15 +64,14 @@ let sequence results =
 (* Every run builds a fresh cloud + monitor, so campaign entries are
    fully independent and can fan out over domains; the result order is
    the job order regardless of domain count. *)
-let run ?(domains = 1) mutants =
+let campaign run_entry ?(domains = 1) mutants =
   sequence
-    (Cm_core.Domain_pool.map_list ~domains run_one
+    (Cm_core.Domain_pool.map_list ~domains run_entry
        (None :: List.map (fun m -> Some m) mutants))
 
-let run_cross ?(domains = 1) ?engine mutants =
-  sequence
-    (Cm_core.Domain_pool.map_list ~domains (run_cross_one ?engine)
-       (None :: List.map (fun m -> Some m) mutants))
+let run = campaign run_one
+let run_cross = campaign run_cross_one
+let run_cross_reference = campaign run_cross_reference_one
 
 let kill_matrix results =
   let buf = Buffer.create 512 in

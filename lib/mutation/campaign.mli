@@ -17,13 +17,9 @@ type result = {
 val run_one : Mutant.t option -> (result, string list) Stdlib.result
 (** Fresh cloud + monitor, standard workload, collect. *)
 
-val run_cross_one :
-  ?engine:Cm_contracts.Runtime.engine ->
-  Mutant.t option ->
-  (result, string list) Stdlib.result
+val run_cross_one : Mutant.t option -> (result, string list) Stdlib.result
 (** Fresh cloud + cross-service monitor ({!Scenario.setup_cross}),
-    cross workload, collect.  [engine] selects the contract engine so
-    the kill matrix can be checked under both. *)
+    cross workload, collect. *)
 
 val run : ?domains:int -> Mutant.t list -> (result list, string list) Stdlib.result
 (** Baseline first (it must be violation-free), then each mutant.
@@ -32,14 +28,17 @@ val run : ?domains:int -> Mutant.t list -> (result list, string list) Stdlib.res
     job order and are identical at any domain count. *)
 
 val run_cross :
-  ?domains:int ->
-  ?engine:Cm_contracts.Runtime.engine ->
-  Mutant.t list ->
-  (result list, string list) Stdlib.result
+  ?domains:int -> Mutant.t list -> (result list, string list) Stdlib.result
 (** The cross-service campaign: baseline + each mutant under the cross
     workload and models.  Run it over {!Mutant.all_extended} for the
     full kill matrix (M1..M10 still killed by the shared standard
     prefix, X1..X8 by the cross-service phases). *)
+
+val run_cross_reference :
+  ?domains:int -> Mutant.t list -> (result list, string list) Stdlib.result
+(** {!run_cross} judged by the reference monitor
+    ({!Scenario.setup_reference}) instead of production: the kill
+    matrix must hold under both. *)
 
 val to_json : result list -> Cm_json.Json.t
 (** Machine-readable kill matrix for CI gates. *)

@@ -1,6 +1,7 @@
 module Cloud = Cm_cloudsim.Cloud
 module Store = Cm_cloudsim.Store
 module Monitor = Cm_monitor.Monitor
+module Reference = Cm_monitor.Reference
 module Request = Cm_http.Request
 module Workload = Cm_workload.Workload
 module Exec = Cm_workload.Exec
@@ -76,7 +77,6 @@ let bootstrap ~faults ~chaos:chaos_profile ~chaos_seed =
 (* [setup] runs over the single-service Cinder models, [setup_cross]
    over the cross-service models and the extended security table. *)
 let setup_gen ~cross ?(mode = Monitor.Oracle)
-    ?(engine = Cm_contracts.Runtime.Compiled)
     ?(faults = Cm_cloudsim.Faults.none) ?chaos ?chaos_seed ?resilience ?cache ()
     =
   let resources, behavior, table = models cross in
@@ -84,7 +84,7 @@ let setup_gen ~cross ?(mode = Monitor.Oracle)
     bootstrap ~faults ~chaos ~chaos_seed
   in
   let config =
-    Monitor.default_config ~mode ~engine ?resilience ~clock ?cache
+    Monitor.default_config ~mode ?resilience ~clock ?cache
       ~service_token ~security:(security table) resources behavior
   in
   Result.map
@@ -131,20 +131,58 @@ let churn_project cloud k =
   let volume = Store.add_volume store proj ~name:"churn-vol" ~size_gb:1 () in
   ignore (Store.remove_volume proj volume.Store.volume_id)
 
-let exec_env ctx =
+let env_over cloud tokens ~handle ~flush =
   { Exec.project;
     stable_volumes = [];
     victim_volumes = [];
-    handle = (fun req -> Monitor.handle_response ctx.monitor req);
-    token = (fun role -> token_in ctx.tokens (fst (user_of_role role)));
-    relogin = Some (relogin ctx.cloud);
-    churn = Some (churn_project ctx.cloud);
-    flush = (fun () -> Monitor.flush_cache ctx.monitor)
+    handle;
+    token = (fun role -> token_in tokens (fst (user_of_role role)));
+    relogin = Some (relogin cloud);
+    churn = Some (churn_project cloud);
+    flush
   }
+
+let exec_env ctx =
+  env_over ctx.cloud ctx.tokens ~handle:(Monitor.handle_response ctx.monitor)
+    ~flush:(fun () -> Monitor.flush_cache ctx.monitor)
 
 let run_trace ctx trace = Exec.run (exec_env ctx) trace
 let standard ctx = ignore (run_trace ctx Workload.standard_trace)
 let cross ctx = ignore (run_trace ctx Workload.cross_trace)
+
+(* ------------------------------------------------------------------ *)
+(* Reference contexts: the same fresh cloud, judged by the reference
+   monitor. *)
+
+type rctx = {
+  rcloud : Cloud.t;
+  reference : Reference.t;
+  rtokens : (string * string) list;
+}
+
+let setup_reference ?(cross = false) ?(mode = Monitor.Oracle)
+    ?(faults = Cm_cloudsim.Faults.none) () =
+  let resources, behavior, table = models cross in
+  let _, cloud, service_token, tokens, _, backend =
+    bootstrap ~faults ~chaos:None ~chaos_seed:None
+  in
+  let mode =
+    match mode with
+    | Monitor.Enforce -> Reference.Enforce
+    | Monitor.Oracle -> Reference.Oracle
+  in
+  Result.map
+    (fun reference -> { rcloud = cloud; reference; rtokens = tokens })
+    (Reference.create ~mode ~service_token ~security:(security table)
+       resources behavior backend)
+
+let run_reference rctx trace =
+  Exec.run
+    (env_over rctx.rcloud rctx.rtokens
+       ~handle:(fun req ->
+         (Reference.handle rctx.reference req).Cm_monitor.Outcome.response)
+       ~flush:ignore)
+    trace
 
 (* ------------------------------------------------------------------ *)
 (* Journaled contexts: the same scenario with the monitor wrapped in a
@@ -164,7 +202,7 @@ type jctx = {
   jcrash : Cm_core.Crash.t option;
 }
 
-let setup_journaled ?(cross = false) ?(mode = Monitor.Oracle) ?engine
+let setup_journaled ?(cross = false) ?(mode = Monitor.Oracle)
     ?(faults = Cm_cloudsim.Faults.none) ?chaos ?chaos_seed ?resilience
     ?(batch = 8) ?(journal_seed = 7) ?crash () =
   let resources, behavior, table = models cross in
@@ -177,7 +215,7 @@ let setup_journaled ?(cross = false) ?(mode = Monitor.Oracle) ?engine
   let security = security table in
   let jmake ~journal_pre ~journal_barrier ~crash () =
     let config =
-      Monitor.default_config ~mode ?engine ~clock ?resilience ~journal_pre
+      Monitor.default_config ~mode ~clock ?resilience ~journal_pre
         ~journal_barrier ?crash ~service_token ~security resources behavior
     in
     Monitor.create config backend
@@ -255,29 +293,47 @@ let jrun_trace jctx trace = Exec.run (jexec_env jctx) trace
 
 let journal_events jctx = fst (Cm_journal.Journal.scan jctx.jdevice)
 
-let replay_journal ?(cross = false) ?(mode = Monitor.Oracle) ?engine events =
-  match setup_journaled ~cross ~mode ?engine () with
+(* Re-perform a journaled out-of-band action on a replay's fresh
+   cloud. *)
+let perform_mark cloud note =
+  match String.split_on_char ':' note with
+  | [ "relogin"; user ] ->
+    ignore
+      (Cloud.login cloud ~user ~password:(user ^ "-pw") ~project_id:project)
+  | [ "churn"; k ] -> churn_project cloud (int_of_string k)
+  | _ -> ()
+
+let replay_journal ?(cross = false) ?(mode = Monitor.Oracle) events =
+  match setup_journaled ~cross ~mode () with
   | Error msgs -> Error msgs
   | Ok fresh ->
     List.iter
-      (fun step ->
-        match step with
+      (function
         | Jmonitor.Replay_request { req; _ } ->
           ignore (Jmonitor.handle fresh.jmon req)
         | Jmonitor.Replay_mark note ->
-          (match String.split_on_char ':' note with
-           | [ "relogin"; user ] ->
-             ignore
-               (Cloud.login fresh.jcloud ~user ~password:(user ^ "-pw")
-                  ~project_id:project);
-             (* keep the replay's mark/seq stream aligned with the
-                recording's *)
-             Jmonitor.mark fresh.jmon note
-           | [ "churn"; k ] ->
-             Jmonitor.mark fresh.jmon note;
-             churn_project fresh.jcloud (int_of_string k);
-             Monitor.flush_cache (Jmonitor.monitor fresh.jmon)
-           | _ -> Jmonitor.mark fresh.jmon note))
+          (* the mark keeps the replay's seq stream aligned with the
+             recording's *)
+          Jmonitor.mark fresh.jmon note;
+          perform_mark fresh.jcloud note;
+          Monitor.flush_cache (Jmonitor.monitor fresh.jmon))
       (Jmonitor.replay_plan events);
     Jmonitor.sync fresh.jmon;
     Ok (Jmonitor.verdict_lines fresh.jmon)
+
+let replay_reference ?(cross = false) ?(mode = Monitor.Oracle) events =
+  match setup_reference ~cross ~mode () with
+  | Error msgs -> Error msgs
+  | Ok fresh ->
+    Ok
+      (List.filter_map
+         (function
+           | Jmonitor.Replay_request { seq; rid; req } ->
+             Some
+               (Cm_journal.Event.verdict_line
+                  (Jmonitor.verdict_of ~seq ~rid
+                     (Reference.handle fresh.reference req)))
+           | Jmonitor.Replay_mark note ->
+             perform_mark fresh.rcloud note;
+             None)
+         (Jmonitor.replay_plan events))

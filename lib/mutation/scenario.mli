@@ -22,7 +22,6 @@ type ctx = {
 
 val setup :
   ?mode:Cm_monitor.Monitor.mode ->
-  ?engine:Cm_contracts.Runtime.engine ->
   ?faults:Cm_cloudsim.Faults.set ->
   ?chaos:Cm_cloudsim.Chaos.profile ->
   ?chaos_seed:int ->
@@ -33,9 +32,7 @@ val setup :
 (** Fresh simulated cloud seeded with the paper's [myProject] (three
     users, quota of 3 volumes), a service account for the monitor, the
     given faults activated, and a monitor over the Cinder models in the
-    given mode (default [Oracle]) with the given contract engine
-    (default [Compiled] — the fuzzer's differential oracle runs the
-    same trace under both engines).
+    given mode (default [Oracle]).
 
     [chaos] interposes an unreliable transport between monitor and
     cloud (seeded by [chaos_seed]); [resilience] makes the monitor
@@ -44,7 +41,6 @@ val setup :
 
 val setup_cross :
   ?mode:Cm_monitor.Monitor.mode ->
-  ?engine:Cm_contracts.Runtime.engine ->
   ?faults:Cm_cloudsim.Faults.set ->
   ?chaos:Cm_cloudsim.Chaos.profile ->
   ?chaos_seed:int ->
@@ -88,6 +84,33 @@ val cross : ctx -> unit
     requires a {!setup_cross} context — under {!setup}'s single-service
     models the compute/image steps are merely unclassified. *)
 
+(** {2 Reference contexts}
+
+    The same fresh cloud judged by {!Cm_monitor.Reference} instead of
+    the production monitor: the executable semantics the differential
+    tests and the [monitor] fuzz oracle compare production against.
+    Fault-free transport only (the reference has no resilience
+    layer). *)
+
+type rctx = {
+  rcloud : Cm_cloudsim.Cloud.t;
+  reference : Cm_monitor.Reference.t;
+  rtokens : (string * string) list;  (** user name -> token *)
+}
+
+val setup_reference :
+  ?cross:bool ->
+  ?mode:Cm_monitor.Monitor.mode ->
+  ?faults:Cm_cloudsim.Faults.set ->
+  unit ->
+  (rctx, string list) result
+(** {!setup} (or {!setup_cross} with [~cross:true]) with the reference
+    monitor in the given mode in place of the production monitor. *)
+
+val run_reference : rctx -> Cm_workload.Workload.trace -> int
+(** {!run_trace} through the reference; outcomes accumulate in
+    [Cm_monitor.Reference.outcomes]. *)
+
 (** {2 Journaled contexts}
 
     The same scenario with the monitor wrapped in
@@ -111,7 +134,6 @@ type jctx = {
 val setup_journaled :
   ?cross:bool ->
   ?mode:Cm_monitor.Monitor.mode ->
-  ?engine:Cm_contracts.Runtime.engine ->
   ?faults:Cm_cloudsim.Faults.set ->
   ?chaos:Cm_cloudsim.Chaos.profile ->
   ?chaos_seed:int ->
@@ -146,11 +168,19 @@ val journal_events : jctx -> Cm_journal.Event.t list
 val replay_journal :
   ?cross:bool ->
   ?mode:Cm_monitor.Monitor.mode ->
-  ?engine:Cm_contracts.Runtime.engine ->
   Cm_journal.Event.t list ->
   (string list, string list) result
-(** Re-execute a recorded journal against a {e fresh} same-seed cloud:
-    requests verbatim (tokens and ids are deterministic), marks
-    re-performed out-of-band.  Returns the replayed verdict lines,
-    which must be bit-identical to
+(** Re-execute a recorded journal against a {e fresh} same-seed cloud
+    through a fresh journaled monitor: requests verbatim (tokens and
+    ids are deterministic), marks re-performed out-of-band.  Returns
+    the replayed verdict lines, which must be bit-identical to
     [Cm_journal.Jmonitor.journaled_verdict_lines] of the recording. *)
+
+val replay_reference :
+  ?cross:bool ->
+  ?mode:Cm_monitor.Monitor.mode ->
+  Cm_journal.Event.t list ->
+  (string list, string list) result
+(** {!replay_journal} through the reference monitor: each recorded
+    request's outcome rendered as the verdict line the journal would
+    hold under the recorded sequence number and request id. *)

@@ -7,7 +7,6 @@ module Pretty = Cm_ocl.Pretty
 module Typecheck = Cm_ocl.Typecheck
 module Contract = Cm_contracts.Contract
 module Generate = Cm_contracts.Generate
-module Runtime = Cm_contracts.Runtime
 module BM = Cm_uml.Behavior_model
 module Meth = Cm_http.Meth
 module Security_table = Cm_rbac.Security_table
@@ -16,6 +15,7 @@ module Subject = Cm_rbac.Subject
 module Mutant = Cm_mutation.Mutant
 module Scenario = Cm_mutation.Scenario
 module Monitor = Cm_monitor.Monitor
+module Reference = Cm_monitor.Reference
 module Outcome = Cm_monitor.Outcome
 module Jmonitor = Cm_journal.Jmonitor
 module Workload = Cm_workload.Workload
@@ -618,11 +618,6 @@ let monitor_trace ~seed ~index ~size =
   in
   prefix @ tail
 
-(* A mutant runs in Oracle mode, on the other engine each rotation. *)
-let mutant_engine index =
-  if (index / 2 / List.length Mutant.all) land 1 = 0 then Runtime.Compiled
-  else Runtime.Interpreted
-
 let ( let* ) = Result.bind
 
 let setup_or what =
@@ -632,6 +627,24 @@ let setup_or what =
 let run ctx trace =
   ignore (Scenario.run_trace ctx trace);
   Monitor.outcomes ctx.Scenario.monitor
+
+let run_reference ~cross ~mode ?faults trace =
+  let* rctx =
+    setup_or "reference" (Scenario.setup_reference ~cross ~mode ?faults ())
+  in
+  ignore (Scenario.run_reference rctx trace);
+  Ok (Reference.outcomes rctx.Scenario.reference)
+
+(* Outcomes must agree with the reference's exchange by exchange, with
+   no normalization. *)
+let agree what ~reference outcomes =
+  let reference = List.map strict_outcome_key reference in
+  let keys = List.map strict_outcome_key outcomes in
+  if keys = reference then Ok ()
+  else
+    Error
+      (what ^ " diverges from the reference at "
+      ^ first_diff ("reference", reference) (what, keys))
 
 (* Production's outcomes; a journaled run must also replay its journal
    through the reference to the recorded verdict lines. *)
@@ -651,9 +664,7 @@ let run_production ~cross ~mode prod trace =
     let events = Scenario.journal_events jctx in
     let recorded = Jmonitor.journaled_verdict_lines events in
     let* replayed =
-      setup_or "journal replay"
-        (Scenario.replay_journal ~cross ~mode ~engine:Runtime.Interpreted
-           events)
+      setup_or "journal replay" (Scenario.replay_reference ~cross ~mode events)
     in
     if replayed = recorded then
       Ok (Monitor.outcomes (Jmonitor.monitor jctx.Scenario.jmon))
@@ -666,30 +677,25 @@ let check_trace ~index subject trace =
   let prod = production index in
   let mode = if prod = Campaign then Monitor.Oracle else Monitor.Enforce in
   let cross = match subject with Mix _ -> true | Probe _ -> false in
-  let setup = if cross then Scenario.setup_cross else Scenario.setup in
-  let* ref_ctx =
-    setup_or "reference" (setup ~mode ~engine:Runtime.Interpreted ())
-  in
-  let reference = List.map strict_outcome_key (run ref_ctx trace) in
+  let* reference = run_reference ~cross ~mode trace in
   let* outcomes = run_production ~cross ~mode prod trace in
-  let keys = List.map strict_outcome_key outcomes in
-  if keys <> reference then
-    Error
-      ("production diverges from the reference at "
-      ^ first_diff ("reference", reference) ("production", keys))
-  else
-    match first_violation outcomes, subject with
-    | Some v, _ ->
-      Error (Fmt.str "violation on the fault-free cloud: %a" Outcome.pp v)
-    | None, Mix _ -> Ok ()
-    | None, Probe mutant ->
-      let* ctx =
-        setup_or "mutant"
-          (Scenario.setup ~engine:(mutant_engine index)
-             ~faults:mutant.Mutant.faults ())
-      in
-      if has_violation (run ctx trace) then Ok ()
-      else Error ("mutant " ^ mutant.Mutant.name ^ " survived the trace")
+  let* () = agree "production" ~reference outcomes in
+  match first_violation outcomes, subject with
+  | Some v, _ ->
+    Error (Fmt.str "violation on the fault-free cloud: %a" Outcome.pp v)
+  | None, Mix _ -> Ok ()
+  | None, Probe mutant ->
+    (* the mutant runs in Oracle mode, through production and the
+       reference, which must agree on the violation's kind too *)
+    let faults = mutant.Mutant.faults in
+    let* ctx = setup_or "mutant" (Scenario.setup ~faults ()) in
+    let outcomes = run ctx trace in
+    let* reference =
+      run_reference ~cross:false ~mode:Monitor.Oracle ~faults trace
+    in
+    let* () = agree "the mutant run" ~reference outcomes in
+    if has_violation outcomes then Ok ()
+    else Error ("mutant " ^ mutant.Mutant.name ^ " survived the trace")
 
 (* A mix must compile to the same trace every time: a property of the
    (mix, seed) pair, checked before the trace runs. *)

@@ -12,9 +12,10 @@
     - [codegen]: random expressions and random state-machine models must
       survive the printers — pretty-print/re-parse is the identity, and
       the OCL-to-Python translation of generated contracts never raises.
-    - [monitor]: production against the reference monitor (the
-      [Interpreted] engine, observing the full state with no cache and
-      no footprint pruning) on workload traces.  Even cases are probe
+    - [monitor]: production against the reference monitor
+      ({!Cm_monitor.Reference}: naive classification, the full state
+      observed with plain GETs, the AST interpreter, its own verdict
+      table) on workload traces.  Even cases are probe
       cases on the Cinder models (random noise, the admin draining
       every volume it created, one mutant's killing steps; the ten
       {!Cm_mutation.Mutant.all} in rotation); odd cases run named mixes
@@ -27,9 +28,11 @@
       outcomes identical to the reference's in the same mode (no
       normalization), no violation on the fault-free cloud, a journal
       that replays through the reference to the recorded verdict lines,
-      a mix that recompiles bit-identically and a probe's mutant killed
-      in Oracle mode.  Failures shrink by dropping trace steps and
-      record the trace in {!Cm_workload.Workload.to_line} form.
+      a mix that recompiles bit-identically, and a probe's mutant killed
+      in Oracle mode with outcomes identical to the reference's on the
+      same mutant cloud (which pins the kind of each violation).
+      Failures shrink by dropping trace steps and record the trace in
+      {!Cm_workload.Workload.to_line} form.
     - [chaos]: verdict integrity under unreliable transport (below).
 
     Every case is a pure function of [(seed, index, size)]; a failure is

@@ -224,22 +224,18 @@ let runtime_tests =
           List.concat_map (fun n -> List.map (fun q -> env_with n q) [ 1; 2; 3; 4 ])
             [ 0; 1; 2; 3; 4 ]
         in
-        List.iter
-          (fun engine ->
-            let p = Runtime.prepare ~engine delete_contract in
-            List.iter
-              (fun pre_env ->
-                let snapshot = Runtime.take_snapshot p pre_env in
-                List.iter
-                  (fun post_env ->
-                    Alcotest.(check bool) "agree" true
-                      (tri (Runtime.check_post p snapshot post_env)
-                      = Snapshot.check_post_full delete_contract.Contract.post
-                          ~pre:pre_env post_env))
-                  states)
-              states)
-          [ Runtime.Interpreted; Runtime.Compiled ];
         let p = Runtime.prepare delete_contract in
+        List.iter
+          (fun pre_env ->
+            let snapshot = Runtime.take_snapshot p pre_env in
+            List.iter
+              (fun post_env ->
+                Alcotest.(check bool) "agree" true
+                  (tri (Runtime.check_post p snapshot post_env)
+                  = Snapshot.check_post_full delete_contract.Contract.post
+                      ~pre:pre_env post_env))
+              states)
+          states;
         Alcotest.(check bool) "holds" true
           (Runtime.check_post p (Runtime.take_snapshot p (env_with 3 3))
              (env_with 2 3)

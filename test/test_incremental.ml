@@ -200,55 +200,62 @@ let outcome_key (o : Outcome.t) =
     (Outcome.conformance_to_string o.Outcome.conformance)
     (String.concat "," o.Outcome.covered_requirements)
 
-let run_standard engine =
-  match Scenario.setup ~engine () with
+let run_standard ?faults () =
+  match Scenario.setup ?faults () with
   | Error msgs -> Alcotest.fail (String.concat "; " msgs)
   | Ok ctx ->
     Scenario.standard ctx;
     ctx
 
+let run_reference ?faults () =
+  match Scenario.setup_reference ?faults () with
+  | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+  | Ok rctx ->
+    ignore (Scenario.run_reference rctx Cm_workload.Workload.standard_trace);
+    rctx.Scenario.reference
+
 let test_modes_agree_on_standard_workload () =
-  let ctx_full = run_standard Runtime.Interpreted in
-  let ctx_inc = run_standard Runtime.Compiled in
-  let keys ctx = List.map outcome_key (Monitor.outcomes ctx.Scenario.monitor) in
+  let reference = run_reference () in
+  let ctx = run_standard () in
   Alcotest.(check (list string))
-    "incremental outcomes identical to the interpreter's" (keys ctx_full)
-    (keys ctx_inc);
-  let full = Monitor.eval_stats ctx_full.Scenario.monitor in
-  let inc = Monitor.eval_stats ctx_inc.Scenario.monitor in
-  Alcotest.(check int) "the interpreter never replays" 0 full.Runtime.replays;
+    "production outcomes identical to the reference's"
+    (List.map outcome_key (Cm_monitor.Reference.outcomes reference))
+    (List.map outcome_key (Monitor.outcomes ctx.Scenario.monitor));
+  let full = Cm_monitor.Reference.evals reference in
+  let inc = Monitor.eval_stats ctx.Scenario.monitor in
   Alcotest.(check bool)
     (Printf.sprintf "incremental replays verdicts (%d)" inc.Runtime.replays)
     true
     (inc.Runtime.replays > 0);
   Alcotest.(check bool)
     (Printf.sprintf "incremental evaluates less (%d < %d)" inc.Runtime.evals
-       full.Runtime.evals)
+       full)
     true
-    (inc.Runtime.evals < full.Runtime.evals)
+    (inc.Runtime.evals < full)
 
-let kill_row engine (mutant : Cm_mutation.Mutant.t) =
-  match Scenario.setup ~engine ~faults:mutant.Cm_mutation.Mutant.faults () with
-  | Error msgs -> Alcotest.fail (String.concat "; " msgs)
-  | Ok ctx ->
-    Scenario.standard ctx;
-    List.exists
-      (fun (o : Outcome.t) -> Outcome.is_violation o.Outcome.conformance)
-      (Monitor.outcomes ctx.Scenario.monitor)
+let killed outcomes =
+  List.exists
+    (fun (o : Outcome.t) -> Outcome.is_violation o.Outcome.conformance)
+    outcomes
 
 let test_kill_matrix_identical () =
   (* The paper experiment generalized: every mutant's kill bit must be
-     identical under the interpreter and incremental evaluation, and
-     every mutant must actually be killed. *)
+     identical under the reference monitor and production, and every
+     mutant must actually be killed. *)
   List.iter
     (fun (mutant : Cm_mutation.Mutant.t) ->
-      let full = kill_row Runtime.Interpreted mutant in
-      let inc = kill_row Runtime.Compiled mutant in
+      let faults = mutant.Cm_mutation.Mutant.faults in
+      let full =
+        killed (Cm_monitor.Reference.outcomes (run_reference ~faults ()))
+      in
+      let inc =
+        killed (Monitor.outcomes (run_standard ~faults ()).Scenario.monitor)
+      in
       Alcotest.(check bool)
-        (mutant.Cm_mutation.Mutant.name ^ " killed by the interpreter")
+        (mutant.Cm_mutation.Mutant.name ^ " killed by the reference")
         true full;
       Alcotest.(check bool)
-        (mutant.Cm_mutation.Mutant.name ^ " kill bit preserved incrementally")
+        (mutant.Cm_mutation.Mutant.name ^ " kill bit preserved in production")
         full inc)
     Cm_mutation.Mutant.all
 

@@ -8,8 +8,9 @@
    recovered verdict stream must be exactly-once per journaled request,
    with every durably-concluded exchange reproduced verbatim.  On top
    of that: crash-point injection at every site, journal-replay
-   bit-identity for all five workload mixes under both engines, and a
-   bounded run of the [journal] fuzz oracle. *)
+   bit-identity for all five workload mixes through production and
+   through the reference monitor, and a bounded run of the [monitor]
+   fuzz oracle's journaled cases. *)
 
 module Device = Cm_journal.Device
 module Record = Cm_journal.Record
@@ -20,7 +21,6 @@ module Scenario = Cm_mutation.Scenario
 module Campaign = Cm_mutation.Campaign
 module Mutant = Cm_mutation.Mutant
 module Workload = Cm_workload.Workload
-module Runtime = Cm_contracts.Runtime
 module Clock = Cm_core.Clock
 
 let require = function
@@ -375,15 +375,14 @@ let replay_tests =
               (mix.Workload.mix_name ^ ": verdicts recorded") true
               (List.length recorded > 0);
             List.iter
-              (fun (engine, label) ->
-                let lines =
-                  require (Scenario.replay_journal ~cross:true ~engine events)
-                in
+              (fun (label, replay) ->
                 Alcotest.(check (list string))
-                  (Printf.sprintf "%s under %s" mix.Workload.mix_name label)
-                  recorded lines)
-              [ (Runtime.Interpreted, "interpreted");
-                (Runtime.Compiled, "compiled")
+                  (Printf.sprintf "%s through %s" mix.Workload.mix_name label)
+                  recorded
+                  (require (replay events)))
+              [ ("production", Scenario.replay_journal ~cross:true ?mode:None);
+                ( "the reference",
+                  Scenario.replay_reference ~cross:true ?mode:None )
               ])
           Workload.mixes)
   ]

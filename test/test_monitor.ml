@@ -29,7 +29,7 @@ type fixture = {
   service : string;
 }
 
-let fixture ?(mode = Monitor.Oracle) ?engine ?cache ?(gets = ref 0) () =
+let fixture ?(mode = Monitor.Oracle) ?cache ?(gets = ref 0) () =
   let cloud = Cloud.create () in
   Cloud.seed cloud Cloud.my_project;
   Identity.add_user (Cloud.identity cloud) ~password:"svc"
@@ -41,7 +41,7 @@ let fixture ?(mode = Monitor.Oracle) ?engine ?cache ?(gets = ref 0) () =
   in
   let service = login "svc" "svc" in
   let config =
-    Monitor.default_config ~mode ?engine ?cache ~service_token:service
+    Monitor.default_config ~mode ?cache ~service_token:service
       ~security Cinder.resources Cinder.behavior
   in
   (* [gets] counts the GETs the monitor sends its backend *)
@@ -627,48 +627,66 @@ let dispatch_tests =
       Cm_uml.Glance_model.resources Cm_uml.Glance_model.behavior
   ]
 
-(* The reference observes the full state of every exchange: no
-   footprint pruning and no observation cache, whatever the scope. *)
+(* The reference monitor observes the full state of every exchange
+   with plain GETs: no footprint pruning and no observation cache. *)
 let reference_tests =
   [ Alcotest.test_case "reference observes the full, uncached state" `Quick
       (fun () ->
-        let standard_trace_gets engine cache =
+        let tokens fx =
+          [ ("alice", fx.alice); ("bob", fx.bob); ("carol", fx.carol) ]
+        in
+        let standard_trace_gets cache =
           let gets = ref 0 in
-          let fx = fixture ~engine ~cache ~gets () in
-          let tokens =
-            [ ("alice", fx.alice); ("bob", fx.bob); ("carol", fx.carol) ]
-          in
+          let fx = fixture ~cache ~gets () in
           ignore
             (Cm_mutation.Scenario.run_trace
-               { cloud = fx.cloud; monitor = fx.monitor; tokens;
+               { cloud = fx.cloud; monitor = fx.monitor; tokens = tokens fx;
                  clock = Cm_core.Clock.create (); chaos = None }
                Cm_workload.Workload.standard_trace);
           !gets
         in
-        let reference = standard_trace_gets Cm_contracts.Runtime.Interpreted in
-        let per_request = reference Cm_monitor.Obs_cache.Per_request in
-        let production =
-          standard_trace_gets Cm_contracts.Runtime.Compiled
-            Cm_monitor.Obs_cache.Per_request
+        let reference =
+          let fx = fixture () in
+          let gets = ref 0 in
+          let reference =
+            match
+              Cm_monitor.Reference.create ~service_token:fx.service ~security
+                Cinder.resources Cinder.behavior (fun (req : Request.t) ->
+                  if req.meth = Meth.GET then incr gets;
+                  Cloud.handle fx.cloud req)
+            with
+            | Ok r -> r
+            | Error msgs -> failwith (String.concat "; " msgs)
+          in
+          ignore
+            (Cm_mutation.Scenario.run_reference
+               { rcloud = fx.cloud; reference; rtokens = tokens fx }
+               Cm_workload.Workload.standard_trace);
+          !gets
         in
-        Alcotest.(check bool)
-          (Printf.sprintf "reference GETs (%d) exceed production's (%d)"
-             per_request production)
-          true (per_request > production);
-        Alcotest.(check int) "the cache scope does not apply to the reference"
-          per_request
-          (reference Cm_monitor.Obs_cache.Cross_request))
+        Alcotest.(check int) "reference GETs on the standard trace" 153
+          reference;
+        List.iter
+          (fun (label, scope) ->
+            let production = standard_trace_gets scope in
+            Alcotest.(check bool)
+              (Printf.sprintf "reference GETs (%d) exceed production's (%d, %s)"
+                 reference production label)
+              true (reference > production))
+          [ ("per-request", Cm_monitor.Obs_cache.Per_request);
+            ("cross-request", Cm_monitor.Obs_cache.Cross_request)
+          ])
   ]
 
 (* ---- pinned exchange output ----
 
    Every field of every outcome, one line per exchange, pinned by MD5
    per scenario (as bench/perf/pins.ml pins verdict digests).  The
-   [monitor] fuzz oracle cannot see a change to the exchange path,
-   because production and the reference both run [Monitor]; a changed
-   response, verdict, hint, requirement list, snapshot size or detail
-   string shows here.  A pin changes only with a deliberate change of
-   monitor output. *)
+   [monitor] fuzz oracle compares production with the reference monitor
+   on fault-free runs only; these pins also cover what the reference
+   does not model (resilience, containment, stability, resume) and
+   every field a strict outcome key leaves out.  A pin changes only
+   with a deliberate change of monitor output. *)
 
 module Resilience = Cm_monitor.Resilience
 module Scenario = Cm_mutation.Scenario

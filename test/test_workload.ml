@@ -2,8 +2,9 @@
 
    The determinism contract — same (mix, seed) => bit-identical trace —
    is checked over 1000 cases; the cross-service contracts are checked
-   by a full kill matrix over the extended mutant catalog under both
-   engines, several domain counts, and every chaos profile. *)
+   by a full kill matrix over the extended mutant catalog under
+   production and the reference monitor, several domain counts, and
+   every chaos profile. *)
 
 module Workload = Cm_workload.Workload
 module Exec = Cm_workload.Exec
@@ -12,20 +13,32 @@ module Campaign = Cm_mutation.Campaign
 module Scenario = Cm_mutation.Scenario
 module Monitor = Cm_monitor.Monitor
 module Outcome = Cm_monitor.Outcome
-module Runtime = Cm_contracts.Runtime
 module Chaos = Cm_cloudsim.Chaos
-
-let conformances ctx =
-  List.map
-    (fun (o : Outcome.t) -> Outcome.conformance_to_string o.Outcome.conformance)
-    (Monitor.outcomes ctx.Scenario.monitor)
-
-let violations ctx =
-  Cm_monitor.Report.violations (Monitor.outcomes ctx.Scenario.monitor)
 
 let require_ctx = function
   | Ok ctx -> ctx
   | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+
+let conformance_strings =
+  List.map (fun (o : Outcome.t) ->
+      Outcome.conformance_to_string o.Outcome.conformance)
+
+let conformances ctx =
+  conformance_strings (Monitor.outcomes ctx.Scenario.monitor)
+
+(* The cross workload through the production monitor and through the
+   reference monitor, on clouds with the same faults. *)
+let production_and_reference ?faults () =
+  let ctx = require_ctx (Scenario.setup_cross ?faults ()) in
+  Scenario.cross ctx;
+  let rctx = require_ctx (Scenario.setup_reference ~cross:true ?faults ()) in
+  ignore (Scenario.run_reference rctx Workload.cross_trace);
+  ( conformances ctx,
+    conformance_strings (Cm_monitor.Reference.outcomes rctx.Scenario.reference)
+  )
+
+let violations ctx =
+  Cm_monitor.Report.violations (Monitor.outcomes ctx.Scenario.monitor)
 
 (* ---- the determinism contract ---- *)
 
@@ -174,30 +187,20 @@ let baseline_tests =
           [ Workload.read_heavy; Workload.churn_heavy; Workload.adversarial ])
   ]
 
-(* ---- verdict determinism across engines and domains ---- *)
+(* ---- verdict determinism across monitors and domains ---- *)
 
 let determinism_tests =
   [ Alcotest.test_case
-      "cross verdict sequence identical under both engines"
+      "cross verdict sequence identical under production and the reference"
       `Quick (fun () ->
-        let run engine =
-          let ctx = require_ctx (Scenario.setup_cross ~engine ()) in
-          Scenario.cross ctx;
-          conformances ctx
-        in
-        Alcotest.(check (list string))
-          "same verdicts" (run Runtime.Interpreted) (run Runtime.Compiled));
+        let production, reference = production_and_reference () in
+        Alcotest.(check (list string)) "same verdicts" reference production);
     Alcotest.test_case
-      "mutant verdict sequence identical under both engines"
+      "mutant verdict sequence identical under production and the reference"
       `Quick (fun () ->
         let faults = (List.hd Mutant.cross_mutants).Mutant.faults in
-        let run engine =
-          let ctx = require_ctx (Scenario.setup_cross ~engine ~faults ()) in
-          Scenario.cross ctx;
-          conformances ctx
-        in
-        Alcotest.(check (list string))
-          "same verdicts" (run Runtime.Interpreted) (run Runtime.Compiled));
+        let production, reference = production_and_reference ~faults () in
+        Alcotest.(check (list string)) "same verdicts" reference production);
     Alcotest.test_case "kill matrix identical at 1, 2 and 4 domains" `Slow
       (fun () ->
         let summarise results =
@@ -244,21 +247,17 @@ let kill_tests =
         Alcotest.(check bool) "find X7" true
           (Mutant.find "X7-zombie-token" <> None));
     Alcotest.test_case
-      "full kill matrix: every mutant killed, baseline clean (Interpreted)"
+      "full kill matrix: every mutant killed, baseline clean (reference)"
       `Slow (fun () ->
-        match
-          Campaign.run_cross ~engine:Runtime.Interpreted Mutant.all_extended
-        with
+        match Campaign.run_cross_reference Mutant.all_extended with
         | Error msgs -> Alcotest.fail (String.concat "; " msgs)
         | Ok results ->
           if not (Campaign.all_killed results) then
             Alcotest.fail (Campaign.kill_matrix results));
     Alcotest.test_case
-      "full kill matrix: every mutant killed, baseline clean (Compiled)"
+      "full kill matrix: every mutant killed, baseline clean (production)"
       `Slow (fun () ->
-        match
-          Campaign.run_cross ~engine:Runtime.Compiled Mutant.all_extended
-        with
+        match Campaign.run_cross Mutant.all_extended with
         | Error msgs -> Alcotest.fail (String.concat "; " msgs)
         | Ok results ->
           if not (Campaign.all_killed results) then
