@@ -27,10 +27,18 @@ let post_of_branches branches =
        (fun b -> Ast.Binop (Ast.Implies, Ast.At_pre b.branch_pre, b.branch_post))
        branches)
 
+let requirements_of_branches branches =
+  branches
+  |> List.concat_map (fun b -> b.branch_requirements)
+  |> List.sort_uniq String.compare
+
 let active_branches contract env =
   List.filter
     (fun b -> Cm_ocl.Eval.check env b.branch_pre = Cm_ocl.Value.True)
     contract.branches
+
+let covered_requirements contract env =
+  requirements_of_branches (active_branches contract env)
 
 let pp ppf contract =
   Fmt.pf ppf "PreCondition(%a):@.[%s]@.@.PostCondition(%a):@.[%s]"

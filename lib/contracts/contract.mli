@@ -36,11 +36,18 @@ type t = {
 val pre_of_branches : branch list -> Cm_ocl.Ast.expr
 val post_of_branches : branch list -> Cm_ocl.Ast.expr
 
+val requirements_of_branches : branch list -> string list
+(** The SecReq ids the branches carry, sorted, without duplicates. *)
+
 val active_branches : t -> Cm_ocl.Eval.env -> branch list
 (** Branches whose precondition holds in the environment — the
     requirement-coverage signal ("when a state or transition with the
     requirement annotation is traversed, we get an indication which
     security requirement is met", §IV-C). *)
+
+val covered_requirements : t -> Cm_ocl.Eval.env -> string list
+(** [requirements_of_branches (active_branches c env)]: the SecReq ids
+    a request in this pre-state covers. *)
 
 val pp : Format.formatter -> t -> unit
 (** Listing-1 layout: [PreCondition(...)] / [PostCondition(...)]. *)

@@ -43,11 +43,6 @@ let branch_of_transition machine auth (tr : Behavior_model.transition) =
     branch_requirements = tr.requirements
   }
 
-let requirements_of_branches branches =
-  branches
-  |> List.concat_map (fun b -> b.Contract.branch_requirements)
-  |> List.sort_uniq String.compare
-
 let contract_for ?security machine trigger =
   match Behavior_model.transitions_for trigger machine with
   | [] ->
@@ -69,7 +64,7 @@ let contract_for ?security machine trigger =
             (Contract.pre_of_branches functional_branches);
         auth_guard = auth;
         branches;
-        requirements = requirements_of_branches branches
+        requirements = Contract.requirements_of_branches branches
       }
 
 let all ?security machine =

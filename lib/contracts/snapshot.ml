@@ -53,6 +53,11 @@ let check_post_lean compiled taken env =
 let check_post_full post ~pre env =
   Cm_ocl.Eval.check (Cm_ocl.Eval.with_pre ~pre env) post
 
+let post_verdict : Cm_ocl.Value.tribool -> Cm_ocl.Eval.verdict = function
+  | True -> Holds
+  | False -> Violated
+  | Unknown -> Undefined_verdict "postcondition undefined"
+
 let value_bytes = function
   | Cm_ocl.Value.Undef -> 1
   | Cm_ocl.Value.Json json -> String.length (Cm_json.Printer.to_string json)

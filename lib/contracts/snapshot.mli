@@ -47,6 +47,10 @@ val check_post_full :
 (** Evaluate the original postcondition with the full pre-environment
     attached. *)
 
+val post_verdict : Cm_ocl.Value.tribool -> Cm_ocl.Eval.verdict
+(** A postcondition check's verdict: [Unknown] is
+    [Undefined_verdict "postcondition undefined"]. *)
+
 val size_bytes : taken -> int
 (** Serialized size of the captured values — the ablation's metric. *)
 
