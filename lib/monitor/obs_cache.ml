@@ -1,6 +1,6 @@
 module Response = Cm_http.Response
 
-type scope = Disabled | Per_request | Cross_request
+type scope = Per_request | Cross_request
 
 (* Two-level table keyed by subject token then path: lookups hash the
    strings the caller already holds instead of allocating a composite
@@ -26,24 +26,19 @@ type stats = { hits : int; misses : int; invalidated : int }
 let create scope =
   { scope; tables = Hashtbl.create 4; hits = 0; misses = 0; invalidated = 0 }
 
-let scope t = t.scope
-let enabled t = t.scope <> Disabled
-
 let find t ~token path =
-  if not (enabled t) then None
-  else
-    match Hashtbl.find_opt t.tables token with
-    | None ->
-      t.misses <- t.misses + 1;
-      None
-    | Some inner ->
-      (match Hashtbl.find_opt inner path with
-       | Some _ as hit ->
-         t.hits <- t.hits + 1;
-         hit
-       | None ->
-         t.misses <- t.misses + 1;
-         None)
+  match Hashtbl.find_opt t.tables token with
+  | None ->
+    t.misses <- t.misses + 1;
+    None
+  | Some inner ->
+    (match Hashtbl.find_opt inner path with
+     | Some _ as hit ->
+       t.hits <- t.hits + 1;
+       hit
+     | None ->
+       t.misses <- t.misses + 1;
+       None)
 
 (* Definite state answers only: a 2xx is the resource, a 404 is its
    definite absence (stable until an overlapping mutation).  Transient
@@ -53,7 +48,7 @@ let cacheable (resp : Response.t) =
   Response.is_success resp || resp.Response.status = Cm_http.Status.not_found
 
 let remember t ~token path resp =
-  if enabled t && cacheable resp then begin
+  if cacheable resp then begin
     let inner =
       match Hashtbl.find_opt t.tables token with
       | Some inner -> inner
@@ -77,24 +72,22 @@ let rec is_prefix xs ys =
 let overlaps cached mutated =
   is_prefix cached mutated || is_prefix mutated cached
 
-let invalidate_overlapping t mutated_path =
-  if enabled t then begin
-    let mutated = segments mutated_path in
-    Hashtbl.iter
-      (fun _token inner ->
-        let stale =
-          Hashtbl.fold
-            (fun path _ acc ->
-              if overlaps (segments path) mutated then path :: acc else acc)
-            inner []
-        in
-        List.iter
-          (fun path ->
-            Hashtbl.remove inner path;
-            t.invalidated <- t.invalidated + 1)
-          stale)
-      t.tables
-  end
+let invalidate_overlapping (t : t) mutated_path =
+  let mutated = segments mutated_path in
+  Hashtbl.iter
+    (fun _token inner ->
+      let stale =
+        Hashtbl.fold
+          (fun path _ acc ->
+            if overlaps (segments path) mutated then path :: acc else acc)
+          inner []
+      in
+      List.iter
+        (fun path ->
+          Hashtbl.remove inner path;
+          t.invalidated <- t.invalidated + 1)
+        stale)
+    t.tables
 
 let clear t = Hashtbl.reset t.tables
 

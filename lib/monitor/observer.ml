@@ -68,7 +68,7 @@ let lc t s =
 let with_project t ~project_id = { t with project_id }
 let with_token t ~token = { t with token }
 let with_footprint t footprint = { t with footprint }
-let with_cache t cache = { t with cache }
+let with_cache t cache = { t with cache = Some cache }
 
 (* ---- footprint pruning ----------------------------------------------- *)
 
@@ -118,7 +118,7 @@ let backend_get ?(subject_token = None) t path =
    concurrent interference would be masked. *)
 let get ?(fresh = false) ?(subject_token = None) t path =
   match t.cache with
-  | Some cache when Obs_cache.enabled cache ->
+  | Some cache ->
     let cached =
       if fresh then None else Obs_cache.find cache ~token:subject_token path
     in
@@ -128,7 +128,7 @@ let get ?(fresh = false) ?(subject_token = None) t path =
        let resp = backend_get ~subject_token t path in
        Obs_cache.remember cache ~token:subject_token path resp;
        resp)
-  | _ -> backend_get ~subject_token t path
+  | None -> backend_get ~subject_token t path
 
 let successful_body resp =
   if Response.is_success resp then resp.Response.body else None

@@ -84,7 +84,7 @@ val with_footprint : t -> Cm_ocl.Footprint.t option -> t
 (** [Some fp] prunes observation to the footprint; [None] observes
     everything. *)
 
-val with_cache : t -> Obs_cache.t option -> t
+val with_cache : t -> Obs_cache.t -> t
 
 val observe :
   ?fresh:bool ->

@@ -389,14 +389,20 @@ let call t req =
 
 (* Double-read defense against stale caches: read twice, keep the later
    answer (a one-update-deep stale cache cannot serve two stale reads of
-   the same freshness in a row, so the second read is fresh). *)
+   the same freshness in a row, so the second read is fresh).  A second
+   read that failed, or that is a 5xx [call] passed through after
+   exhausting its retries, is no fresher answer: the first one stands
+   unless it was a 5xx too. *)
 let call_verified t req =
   match call t req with
   | Error _ as e -> e
   | Ok first when t.policy.verified_reads && req.Request.meth = Meth.GET ->
     (match call t req with
-     | Ok second -> Ok second
-     | Error _ -> Ok first)
+     | Ok second
+       when Status.is_server_error first.Response.status
+            || not (Status.is_server_error second.Response.status) ->
+       Ok second
+     | Ok _ | Error _ -> Ok first)
   | ok -> ok
 
 let degraded_response failure =

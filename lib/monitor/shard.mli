@@ -62,8 +62,8 @@ val outcomes_by_shard : t -> Outcome.t list array
 (** Each shard's outcome log, in that shard's processing order. *)
 
 val cache_stats : t -> Obs_cache.stats
-(** Pool-wide observation-cache counters (zeros when caching is
-    disabled). *)
+(** Pool-wide observation-cache counters, summed over every replica's
+    cache. *)
 
 val eval_stats : t -> Cm_contracts.Runtime.eval_stats
 (** Pool-wide incremental-evaluation counters, summed over every

@@ -25,33 +25,40 @@ let result_of mutant outcomes =
        | [] -> None)
   }
 
-(* Generic single run: [setup] builds the context for the mutant's
-   faults, [workload] drives it; both campaign flavours (standard and
-   cross) instantiate this. *)
-let run_one_with ~setup ~workload mutant =
+(* The two campaign flavours: the standard workload over the Cinder
+   models, or the cross-service workload over the cross models. *)
+let trace_of cross =
+  if cross then Cm_workload.Workload.cross_trace
+  else Cm_workload.Workload.standard_trace
+
+(* A fresh cloud with the mutant's faults, run through production. *)
+let run_production ~cross ?chaos ?chaos_seed ?resilience mutant =
+  let setup = if cross then Scenario.setup_cross else Scenario.setup in
   Result.map
     (fun ctx ->
-      workload ctx;
-      result_of mutant (Cm_monitor.Monitor.outcomes ctx.Scenario.monitor))
-    (setup ~faults:(faults_of mutant) ())
+      ignore (Scenario.run_trace ctx (trace_of cross));
+      ctx)
+    (setup ~faults:(faults_of mutant) ?chaos ?chaos_seed ?resilience ())
 
-let run_one mutant =
-  run_one_with
-    ~setup:(fun ~faults () -> Scenario.setup ~faults ())
-    ~workload:Scenario.standard mutant
-
-let run_cross_one mutant =
-  run_one_with
-    ~setup:(fun ~faults () -> Scenario.setup_cross ~faults ())
-    ~workload:Scenario.cross mutant
-
-let run_cross_reference_one mutant =
+(* ... and through the reference, fault-free. *)
+let reference_outcomes ~cross mutant =
   Result.map
     (fun rctx ->
-      ignore (Scenario.run_reference rctx Cm_workload.Workload.cross_trace);
-      result_of mutant
-        (Cm_monitor.Reference.outcomes rctx.Scenario.reference))
-    (Scenario.setup_reference ~cross:true ~faults:(faults_of mutant) ())
+      ignore (Scenario.run_reference rctx (trace_of cross));
+      Cm_monitor.Reference.outcomes rctx.Scenario.reference)
+    (Scenario.setup_reference ~cross ~faults:(faults_of mutant) ())
+
+let run_one_on ~cross mutant =
+  Result.map
+    (fun ctx ->
+      result_of mutant (Cm_monitor.Monitor.outcomes ctx.Scenario.monitor))
+    (run_production ~cross mutant)
+
+let run_one = run_one_on ~cross:false
+let run_cross_one = run_one_on ~cross:true
+
+let run_cross_reference_one mutant =
+  Result.map (result_of mutant) (reference_outcomes ~cross:true mutant)
 
 let sequence results =
   let rec loop acc = function
@@ -63,15 +70,26 @@ let sequence results =
 
 (* Every run builds a fresh cloud + monitor, so campaign entries are
    fully independent and can fan out over domains; the result order is
-   the job order regardless of domain count. *)
+   the job order regardless of domain count.  Entries get their job
+   index, from which chaos campaigns derive their seeds. *)
 let campaign run_entry ?(domains = 1) mutants =
   sequence
-    (Cm_core.Domain_pool.map_list ~domains run_entry
-       (None :: List.map (fun m -> Some m) mutants))
+    (Cm_core.Domain_pool.map_list ~domains
+       (fun (index, m) -> run_entry ~index m)
+       (List.mapi (fun i m -> (i, m)) (None :: List.map Option.some mutants)))
 
-let run = campaign run_one
-let run_cross = campaign run_cross_one
-let run_cross_reference = campaign run_cross_reference_one
+let run = campaign (fun ~index:_ -> run_one)
+let run_cross = campaign (fun ~index:_ -> run_cross_one)
+let run_cross_reference = campaign (fun ~index:_ -> run_cross_reference_one)
+
+(* A matrix row is right when the baseline stays clean and a mutant is
+   killed; its mutant and killed cells say which. *)
+let kill_expected mutant killed = Option.is_some mutant = killed
+
+let mutant_cells ?(name = fun (m : Mutant.t) -> m.name) mutant killed =
+  match mutant with
+  | None -> ("(baseline: no fault)", if killed then "DIRTY" else "clean")
+  | Some m -> (name m, if killed then "yes" else "NO")
 
 let kill_matrix results =
   let buf = Buffer.create 512 in
@@ -80,16 +98,9 @@ let kill_matrix results =
   line "%s" (String.make 100 '-');
   List.iter
     (fun r ->
-      let name =
-        match r.mutant with
-        | None -> "(baseline: no fault)"
-        | Some m ->
-          m.Mutant.name ^ (if m.Mutant.from_paper then " [paper]" else "")
-      in
-      let killed_cell =
-        match r.mutant with
-        | None -> if r.killed then "DIRTY" else "clean"
-        | Some _ -> if r.killed then "yes" else "NO"
+      let name, killed_cell =
+        mutant_cells r.mutant r.killed ~name:(fun m ->
+            m.Mutant.name ^ if m.Mutant.from_paper then " [paper]" else "")
       in
       line "%-36s %-8s %-10d %s" name killed_cell r.exchanges
         (Option.value ~default:"-" r.first_violation))
@@ -97,10 +108,7 @@ let kill_matrix results =
   Buffer.contents buf
 
 let all_killed results =
-  List.for_all
-    (fun r ->
-      match r.mutant with None -> not r.killed | Some _ -> r.killed)
-    results
+  List.for_all (fun r -> kill_expected r.mutant r.killed) results
 
 (* ---- chaos campaigns: verdict integrity under unreliable transport ---- *)
 
@@ -131,108 +139,68 @@ type chaos_run = {
 let compare_outcomes ref_outcomes chaos_outcomes =
   let open Cm_monitor.Outcome in
   let rec walk i refs steps comparable flips indefinite =
-    match refs, steps with
-    | _, [] -> (comparable, List.rev flips, indefinite)
-    | [], s :: stl ->
+    match steps with
+    | [] -> (comparable, List.rev flips, indefinite)
+    | s :: stl ->
       let indefinite =
         indefinite + (if is_definite s.conformance then 0 else 1)
       in
-      walk (i + 1) [] stl comparable flips indefinite
-    | r :: rtl, s :: stl ->
-      let indefinite =
-        indefinite + (if is_definite s.conformance then 0 else 1)
-      in
-      let same_target =
-        r.request.Cm_http.Request.meth = s.request.Cm_http.Request.meth
-        && r.request.Cm_http.Request.path = s.request.Cm_http.Request.path
-      in
-      if same_target then begin
-        let flips =
-          if
-            is_definite r.conformance && is_definite s.conformance
-            && r.conformance <> s.conformance
-          then
-            ( i,
-              conformance_to_string r.conformance,
-              conformance_to_string s.conformance )
-            :: flips
-          else flips
-        in
-        walk (i + 1) rtl stl (comparable + 1) flips indefinite
-      end
-      else walk (i + 1) rtl stl comparable flips indefinite
+      let rtl = match refs with _ :: rtl -> rtl | [] -> [] in
+      (match refs with
+       | r :: _
+         when r.request.Cm_http.Request.meth = s.request.Cm_http.Request.meth
+              && r.request.Cm_http.Request.path
+                 = s.request.Cm_http.Request.path ->
+         let flips =
+           if
+             is_definite r.conformance && is_definite s.conformance
+             && r.conformance <> s.conformance
+           then
+             ( i,
+               conformance_to_string r.conformance,
+               conformance_to_string s.conformance )
+             :: flips
+           else flips
+         in
+         walk (i + 1) rtl stl (comparable + 1) flips indefinite
+       | _ -> walk (i + 1) rtl stl comparable flips indefinite)
   in
   walk 0 ref_outcomes chaos_outcomes 0 [] 0
 
-let run_chaos_one_with ~setup ~workload ?(seed = 42) ~index profile mutant =
-  let faults = faults_of mutant in
-  match setup ~faults ?chaos:None ?chaos_seed:None ?resilience:None () with
+(* The fault-free side is the reference monitor on a fresh same-seed
+   cloud, so a chaos run is judged by code that shares nothing with the
+   production monitor under test. *)
+let run_chaos_one ~cross ?(seed = 42) profile ~index mutant =
+  match reference_outcomes ~cross mutant with
   | Error msgs -> Error msgs
-  | Ok ref_ctx ->
-    workload ref_ctx;
-    let ref_outcomes = Cm_monitor.Monitor.outcomes ref_ctx.Scenario.monitor in
-    (match
-       setup ~faults ?chaos:(Some profile)
-         ?chaos_seed:(Some (seed + (1013 * index)))
-         ?resilience:(Some chaos_policy) ()
-     with
-     | Error msgs -> Error msgs
-     | Ok ctx ->
-       workload ctx;
-       let outcomes = Cm_monitor.Monitor.outcomes ctx.Scenario.monitor in
-       let comparable, flips, indefinite =
-         compare_outcomes ref_outcomes outcomes
-       in
-       Ok
-         { cr_mutant = mutant;
-           cr_profile = profile.Cm_cloudsim.Chaos.name;
-           cr_killed = Cm_monitor.Report.violations outcomes <> [];
-           cr_exchanges = List.length outcomes;
-           cr_comparable = comparable;
-           cr_flips = flips;
-           cr_indefinite = indefinite;
-           cr_injected =
-             (match ctx.Scenario.chaos with
-              | Some chaos -> Cm_cloudsim.Chaos.stats chaos
-              | None -> [])
-         })
+  | Ok ref_outcomes ->
+    Result.map
+      (fun ctx ->
+        let outcomes = Cm_monitor.Monitor.outcomes ctx.Scenario.monitor in
+        let comparable, flips, indefinite =
+          compare_outcomes ref_outcomes outcomes
+        in
+        { cr_mutant = mutant;
+          cr_profile = profile.Cm_cloudsim.Chaos.name;
+          cr_killed = Cm_monitor.Report.violations outcomes <> [];
+          cr_exchanges = List.length outcomes;
+          cr_comparable = comparable;
+          cr_flips = flips;
+          cr_indefinite = indefinite;
+          cr_injected =
+            (match ctx.Scenario.chaos with
+             | Some chaos -> Cm_cloudsim.Chaos.stats chaos
+             | None -> [])
+        })
+      (run_production ~cross ~chaos:profile
+         ~chaos_seed:(seed + (1013 * index)) ~resilience:chaos_policy mutant)
 
-let run_chaos_one ?seed ~index profile mutant =
-  run_chaos_one_with
-    ~setup:(fun ~faults ?chaos ?chaos_seed ?resilience () ->
-      Scenario.setup ~faults ?chaos ?chaos_seed ?resilience ())
-    ~workload:Scenario.standard ?seed ~index profile mutant
-
-let run_chaos_cross_one ?seed ~index profile mutant =
-  run_chaos_one_with
-    ~setup:(fun ~faults ?chaos ?chaos_seed ?resilience () ->
-      Scenario.setup_cross ~faults ?chaos ?chaos_seed ?resilience ())
-    ~workload:Scenario.cross ?seed ~index profile mutant
-
-let run_chaos ?seed ?(domains = 1) profile mutants =
-  sequence
-    (Cm_core.Domain_pool.map_list ~domains
-       (fun (index, m) -> run_chaos_one ?seed ~index profile m)
-       (List.mapi
-          (fun i m -> (i, m))
-          (None :: List.map (fun m -> Some m) mutants)))
-
-let run_chaos_cross ?seed ?(domains = 1) profile mutants =
-  sequence
-    (Cm_core.Domain_pool.map_list ~domains
-       (fun (index, m) -> run_chaos_cross_one ?seed ~index profile m)
-       (List.mapi
-          (fun i m -> (i, m))
-          (None :: List.map (fun m -> Some m) mutants)))
+let run_chaos ?(cross = false) ?seed ?domains profile =
+  campaign (run_chaos_one ~cross ?seed profile) ?domains
 
 let chaos_ok runs =
   List.for_all
-    (fun r ->
-      r.cr_flips = []
-      &&
-      match r.cr_mutant with
-      | None -> not r.cr_killed
-      | Some _ -> r.cr_killed)
+    (fun r -> r.cr_flips = [] && kill_expected r.cr_mutant r.cr_killed)
     runs
 
 let chaos_matrix runs =
@@ -245,16 +213,7 @@ let chaos_matrix runs =
   line "%s" (String.make 110 '-');
   List.iter
     (fun r ->
-      let name =
-        match r.cr_mutant with
-        | None -> "(baseline: no fault)"
-        | Some m -> m.Mutant.name
-      in
-      let killed_cell =
-        match r.cr_mutant with
-        | None -> if r.cr_killed then "DIRTY" else "clean"
-        | Some _ -> if r.cr_killed then "yes" else "NO"
-      in
+      let name, killed_cell = mutant_cells r.cr_mutant r.cr_killed in
       let injected =
         String.concat ", "
           (List.map (fun (k, v) -> Printf.sprintf "%s:%d" k v) r.cr_injected)
@@ -358,20 +317,20 @@ let rid_conformances verdicts =
    killed, and — without chaos, where the transport stream is unshifted
    by the recovery's extra re-forward — verdicts identical to the
    crash-free reference. *)
-let run_crash_one_with ~setup ~trace ?(seed = 42) ~index ~site ~nth profile
+let run_crash_one ?(cross = true) ?(seed = 42) ~index ~site ~nth profile
     mutant =
-  let faults = faults_of mutant in
-  let transport chaos_on =
+  let trace = trace_of cross in
+  let chaos_seed, resilience =
     match profile with
-    | None -> ((None : Cm_cloudsim.Chaos.profile option), None, None)
-    | Some p ->
-      if chaos_on then
-        (Some p, Some (seed + (1013 * index)), Some chaos_policy)
-      else (None, None, None)
+    | None -> (None, None)
+    | Some _ -> (Some (seed + (1013 * index)), Some chaos_policy)
   in
-  let chaos, chaos_seed, resilience = transport true in
+  let setup ?crash () =
+    Scenario.setup_journaled ~cross ~faults:(faults_of mutant) ?chaos:profile
+      ?chaos_seed ?resilience ?crash ()
+  in
   let run_reference () =
-    match setup ~faults ?chaos ?chaos_seed ?resilience ?crash:None () with
+    match setup () with
     | Error msgs -> Error msgs
     | Ok ref_ctx ->
       ignore (Scenario.jrun_trace ref_ctx trace);
@@ -382,9 +341,7 @@ let run_crash_one_with ~setup ~trace ?(seed = 42) ~index ~site ~nth profile
   | Error msgs -> Error msgs
   | Ok reference -> (
     let crash_ctl = Cm_core.Crash.create () in
-    match
-      setup ~faults ?chaos ?chaos_seed ?resilience ?crash:(Some crash_ctl) ()
-    with
+    match setup ~crash:crash_ctl () with
     | Error msgs -> Error msgs
     | Ok ctx -> (
       Cm_core.Crash.arm crash_ctl ~site ~nth;
@@ -462,16 +419,6 @@ let run_crash_one_with ~setup ~trace ?(seed = 42) ~index ~site ~nth profile
             xr_discarded_bytes = !discarded
           }))
 
-let run_crash_one ?(cross = true) ?seed ~index ~site ~nth profile mutant =
-  run_crash_one_with
-    ~setup:(fun ~faults ?chaos ?chaos_seed ?resilience ?crash () ->
-      Scenario.setup_journaled ~cross ~faults ?chaos ?chaos_seed ?resilience
-        ?crash ())
-    ~trace:
-      (if cross then Cm_workload.Workload.cross_trace
-       else Cm_workload.Workload.standard_trace)
-    ?seed ~index ~site ~nth profile mutant
-
 let run_crash_matrix ?cross ?seed ?(domains = 1) ?(nth = 3) ?(sites = crash_sites)
     profiles mutants =
   let jobs =
@@ -495,10 +442,7 @@ let crash_ok runs =
   List.for_all
     (fun r ->
       r.xr_duplicates = [] && r.xr_lost = [] && r.xr_mismatches = []
-      &&
-      match r.xr_mutant with
-      | None -> not r.xr_killed
-      | Some _ -> r.xr_killed)
+      && kill_expected r.xr_mutant r.xr_killed)
     runs
 
 let crash_matrix runs =
@@ -511,16 +455,7 @@ let crash_matrix runs =
   line "%s" (String.make 118 '-');
   List.iter
     (fun r ->
-      let name =
-        match r.xr_mutant with
-        | None -> "(baseline: no fault)"
-        | Some m -> m.Mutant.name
-      in
-      let killed_cell =
-        match r.xr_mutant with
-        | None -> if r.xr_killed then "DIRTY" else "clean"
-        | Some _ -> if r.xr_killed then "yes" else "NO"
-      in
+      let name, killed_cell = mutant_cells r.xr_mutant r.xr_killed in
       line "%-14s %-26s %-30s %-6b %-8s %-4d %-4d %-4d res=%d reh=%d torn=%dB"
         r.xr_profile r.xr_site name r.xr_fired killed_cell
         (List.length r.xr_duplicates)

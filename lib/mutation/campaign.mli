@@ -54,11 +54,14 @@ val all_killed : result list -> bool
 
     The same mutants, but with an unreliable transport between monitor
     and cloud and the monitor forwarding through its resilience layer.
-    Each mutant runs twice — once fault-free as the reference, once
-    under chaos — and the two verdict sequences are compared step by
-    step.  Detection power must survive (every mutant still killed) and
+    Each mutant runs twice — once fault-free through the reference
+    monitor ({!Scenario.setup_reference}), once through production under
+    chaos — and the two verdict sequences are compared step by step.
+    Detection power must survive (every mutant still killed) and
     verdict integrity must hold (no {e flip} between definite verdicts;
-    degrading to [Undefined]/[Degraded] is allowed). *)
+    degrading to [Undefined]/[Degraded] is allowed).  The [monitor]
+    fuzz oracle's chaos configuration applies the same comparison to
+    random bounded profiles over probe traces and workload mixes. *)
 
 val chaos_policy : Cm_monitor.Resilience.policy
 (** {!Cm_monitor.Resilience.default} with [verified_reads] on — the
@@ -70,7 +73,8 @@ type chaos_run = {
   cr_killed : bool;
   cr_exchanges : int;
   cr_comparable : int;
-      (** steps where chaos and reference issued the same request *)
+      (** steps where the chaos run and the reference issued the same
+          request *)
   cr_flips : (int * string * string) list;
       (** (step, fault-free verdict, chaos verdict) definite
           disagreements — must be empty *)
@@ -89,25 +93,20 @@ val compare_outcomes :
     a flip is two definite verdicts that disagree on one. *)
 
 val run_chaos :
+  ?cross:bool ->
   ?seed:int ->
   ?domains:int ->
   Cm_cloudsim.Chaos.profile ->
   Mutant.t list ->
   (chaos_run list, string list) Stdlib.result
-(** Baseline + each mutant under the profile.  [seed] (default 42)
-    derives a distinct chaos seed per run — from the job {e index}, not
-    the schedule — so campaigns are reproducible end to end at any
-    [domains] count (default 1). *)
-
-val run_chaos_cross :
-  ?seed:int ->
-  ?domains:int ->
-  Cm_cloudsim.Chaos.profile ->
-  Mutant.t list ->
-  (chaos_run list, string list) Stdlib.result
-(** {!run_chaos} over the cross-service models and workload — verdict
-    integrity for the cross-service contracts under unreliable
-    transport. *)
+(** Baseline + each mutant under the profile, each judged against the
+    reference's fault-free run of the same trace and mutant.  [cross]
+    (default false) uses the cross-service models and workload, which
+    the extended mutants X1..X8 need; otherwise the standard workload
+    over the Cinder models.  [seed] (default 42) derives a distinct
+    chaos seed per run — from the job {e index}, not the schedule — so
+    campaigns are reproducible end to end at any [domains] count
+    (default 1). *)
 
 val chaos_ok : chaos_run list -> bool
 (** No flips anywhere, the baseline clean, every mutant killed. *)

@@ -39,3 +39,23 @@ let describe (p : Chaos.profile) =
     p.Chaos.latency.Chaos.spike_p p.Chaos.latency.Chaos.spike_ms
     p.Chaos.drop_before_p p.Chaos.drop_after_p p.Chaos.blip_5xx_p
     p.Chaos.stale_p p.Chaos.corrupt_p p.Chaos.duplicate_p
+
+(* Every generated field is overwritten; the draw only supplies the
+   name and description. *)
+let parse text =
+  let profile base_ms jitter_ms spike_p spike_ms drop_before_p drop_after_p
+      blip_5xx_p stale_p corrupt_p duplicate_p =
+    { (gen_profile (Rng.of_seed 0) ~size:1) with
+      Chaos.latency = { Chaos.base_ms; jitter_ms; spike_p; spike_ms };
+      drop_before_p; drop_after_p; blip_5xx_p; stale_p; corrupt_p;
+      duplicate_p
+    }
+  in
+  match
+    Scanf.sscanf text
+      "chaos{lat=%d+%d spike=%f/%dms drop<%f drop>%f blip=%f stale=%f \
+       corrupt=%f dup=%f}%!"
+      profile
+  with
+  | p -> Some p
+  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None

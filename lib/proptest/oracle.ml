@@ -16,6 +16,7 @@ module Mutant = Cm_mutation.Mutant
 module Scenario = Cm_mutation.Scenario
 module Monitor = Cm_monitor.Monitor
 module Reference = Cm_monitor.Reference
+module Obs_cache = Cm_monitor.Obs_cache
 module Outcome = Cm_monitor.Outcome
 module Jmonitor = Cm_journal.Jmonitor
 module Workload = Cm_workload.Workload
@@ -448,14 +449,49 @@ let first_violation =
 
 let has_violation outcomes = first_violation outcomes <> None
 
-(* The configurations the campaigns (Oracle, per-request cache) and the
-   benchmark (Enforce, cross-request cache; or journaled) serve, cycled
-   by case index.  Journaled cases keep the journaled setup's
-   per-request cache: the journal's hooks do not touch the cache, and
-   the Serving cases cover the cross-request one. *)
-type production = Campaign | Serving | Journaled
+(* The configurations production serves, cycled by case: Oracle mode
+   with a per-request cache (the campaigns), Enforce mode with a
+   cross-request cache (the benchmark), Enforce mode through the
+   write-ahead journal, and Oracle mode under a random bounded chaos
+   profile with the resilience layer on.  Journaled cases keep the
+   journaled setup's per-request cache: the journal's hooks do not touch
+   the cache, and the Serving cases cover the cross-request one.  Chaos
+   cases alternate the two cache scopes. *)
+type production =
+  | Campaign
+  | Serving
+  | Journaled
+  | Chaos of {
+      profile : Cm_cloudsim.Chaos.profile;
+      chaos_seed : int;
+      scope : Obs_cache.scope;
+    }
 
-let production index = [| Campaign; Serving; Journaled |].(index mod 3)
+let config_name = function
+  | Campaign -> "oracle/per-request"
+  | Serving -> "enforce/cross-request"
+  | Journaled -> "enforce/journaled"
+  | Chaos { scope = Obs_cache.Per_request; _ } -> "oracle/chaos/per-request"
+  | Chaos { scope = Obs_cache.Cross_request; _ } -> "oracle/chaos/cross-request"
+
+(* Case [index] belongs to pair [index / 2] (a probe and a mix), and
+   consecutive pairs run the four configurations in turn.  Chaos cases
+   switch cache scope every eight cases; the profile is drawn from the
+   chaos seed (the transport's own generator is a different one). *)
+let production ~seed ~index ~size =
+  let chaos_seed = seed + (1013 * index) in
+  match index / 2 mod 4 with
+  | 0 -> Campaign
+  | 1 -> Serving
+  | 2 -> Journaled
+  | _ ->
+    Chaos
+      { profile = Chaos_gen.gen_profile (Rng.of_seed chaos_seed) ~size;
+        chaos_seed;
+        scope =
+          (if index / 8 mod 2 = 0 then Obs_cache.Per_request
+           else Obs_cache.Cross_request)
+      }
 
 (* A mutant's probe after random noise, on the Cinder models, or a
    named mix at a derived seed, on the cross models. *)
@@ -463,29 +499,20 @@ type subject =
   | Probe of Mutant.t
   | Mix of { mix : string; wl_seed : int; steps : int }
 
-(* Even cases probe the ten mutants in rotation.  Odd cases run the
-   fixed [standard] and [cross] mixes once under each configuration (a
-   repeat would be the same run), then the seeded mixes in a rotation
-   shifted every third case, so each meets every configuration. *)
+(* Even cases probe the ten mutants in rotation, shifted by one every
+   twenty pairs so each mutant meets every configuration.  Odd cases run
+   the fixed [standard] and [cross] mixes once under each configuration
+   (a repeat would be the same run), then the seeded mixes in a rotation
+   of three, which meets the four configurations in every combination. *)
 let probe_mutant index =
-  List.nth Mutant.all (index / 2 mod List.length Mutant.all)
+  let pair = index / 2 in
+  List.nth Mutant.all ((pair + (pair / 20)) mod List.length Mutant.all)
 
 let mix_name index =
-  let k = index / 2 in
-  if k < 3 then "standard"
-  else if k < 6 then "cross"
-  else
-    List.nth
-      [ "read-heavy"; "churn-heavy"; "adversarial" ]
-      ((k + (k / 3)) mod 3)
-
-let monitor_schedule index =
-  ( (if index land 1 = 0 then "probe " ^ (probe_mutant index).Mutant.name
-     else "mix " ^ mix_name index),
-    match production index with
-    | Campaign -> "oracle/per-request"
-    | Serving -> "enforce/cross-request"
-    | Journaled -> "enforce/journaled" )
+  let pair = index / 2 in
+  if pair < 4 then "standard"
+  else if pair < 8 then "cross"
+  else List.nth [ "read-heavy"; "churn-heavy"; "adversarial" ] (pair mod 3)
 
 (* Random noise by the three roles over the volume surface, up to
    [size - 1] steps; a target is a volume the trace created or one that
@@ -603,6 +630,14 @@ let generated_subject ~seed ~index ~size =
       { mix = mix_name index; wl_seed = seed + (7919 * index);
         steps = 8 + (4 * min size 10) }
 
+let subject_name = function
+  | Probe mutant -> "probe " ^ mutant.Mutant.name
+  | Mix { mix; _ } -> "mix " ^ mix
+
+let monitor_schedule index =
+  ( subject_name (generated_subject ~seed:0 ~index ~size:2),
+    config_name (production ~seed:0 ~index ~size:2) )
+
 (* The shrinkable prefix and the fixed tail of a case's trace: shrinking
    drops noise steps only, so a probe's kill stays in the trace. *)
 let case_parts ~seed ~index ~size = function
@@ -624,10 +659,6 @@ let setup_or what =
   Result.map_error (fun msgs ->
       what ^ " setup failed: " ^ String.concat "; " msgs)
 
-let run ctx trace =
-  ignore (Scenario.run_trace ctx trace);
-  Monitor.outcomes ctx.Scenario.monitor
-
 let run_reference ~cross ~mode ?faults trace =
   let* rctx =
     setup_or "reference" (Scenario.setup_reference ~cross ~mode ?faults ())
@@ -635,30 +666,53 @@ let run_reference ~cross ~mode ?faults trace =
   ignore (Scenario.run_reference rctx trace);
   Ok (Reference.outcomes rctx.Scenario.reference)
 
-(* Outcomes must agree with the reference's exchange by exchange, with
-   no normalization. *)
-let agree what ~reference outcomes =
-  let reference = List.map strict_outcome_key reference in
-  let keys = List.map strict_outcome_key outcomes in
-  if keys = reference then Ok ()
-  else
-    Error
-      (what ^ " diverges from the reference at "
-      ^ first_diff ("reference", reference) (what, keys))
+(* Fault-free, outcomes must agree with the reference's exchange by
+   exchange, with no normalization.  Under chaos a verdict may only
+   degrade: no definite verdict may differ from the reference's on the
+   same request. *)
+let judge prod what ~reference outcomes =
+  match prod with
+  | Campaign | Serving | Journaled ->
+    let reference = List.map strict_outcome_key reference in
+    let keys = List.map strict_outcome_key outcomes in
+    if keys = reference then Ok ()
+    else
+      Error
+        (what ^ " diverges from the reference at "
+        ^ first_diff ("reference", reference) (what, keys))
+  | Chaos _ ->
+    (match Cm_mutation.Campaign.compare_outcomes reference outcomes with
+     | _, [], _ -> Ok ()
+     | _, (i, fault_free, chaos) :: _, _ ->
+       let req = (List.nth outcomes i).Outcome.request in
+       Error
+         (Fmt.str
+            "verdict flip under chaos in %s: exchange %d (%s %s): \
+             reference %s, chaos %s"
+            what i
+            (Meth.to_string req.Cm_http.Request.meth)
+            req.Cm_http.Request.path fault_free chaos))
 
 (* Production's outcomes; a journaled run must also replay its journal
    through the reference to the recorded verdict lines. *)
-let run_production ~cross ~mode prod trace =
+let run_production ~cross ~mode ?faults prod trace =
+  let run setup =
+    let* ctx = setup_or "production" setup in
+    ignore (Scenario.run_trace ctx trace);
+    Ok (Monitor.outcomes ctx.Scenario.monitor)
+  in
   let setup = if cross then Scenario.setup_cross else Scenario.setup in
   match prod with
-  | Campaign | Serving ->
-    let cache =
-      Cm_monitor.Obs_cache.(if prod = Serving then Cross_request else Per_request)
-    in
-    Result.map (fun ctx -> run ctx trace)
-      (setup_or "production" (setup ~mode ~cache ()))
+  | Campaign -> run (setup ~mode ?faults ~cache:Obs_cache.Per_request ())
+  | Serving -> run (setup ~mode ?faults ~cache:Obs_cache.Cross_request ())
+  | Chaos { profile; chaos_seed; scope } ->
+    run
+      (setup ~mode ?faults ~cache:scope ~chaos:profile ~chaos_seed
+         ~resilience:Cm_mutation.Campaign.chaos_policy ())
   | Journaled ->
-    let* jctx = setup_or "journaled" (Scenario.setup_journaled ~cross ~mode ()) in
+    let* jctx =
+      setup_or "journaled" (Scenario.setup_journaled ~cross ~mode ?faults ())
+    in
     ignore (Scenario.jrun_trace jctx trace);
     Jmonitor.sync jctx.Scenario.jmon;
     let events = Scenario.journal_events jctx in
@@ -672,30 +726,6 @@ let run_production ~cross ~mode prod trace =
       Error
         ("journal replay through the reference diverges at "
         ^ first_diff ("recorded", recorded) ("replayed", replayed))
-
-let check_trace ~index subject trace =
-  let prod = production index in
-  let mode = if prod = Campaign then Monitor.Oracle else Monitor.Enforce in
-  let cross = match subject with Mix _ -> true | Probe _ -> false in
-  let* reference = run_reference ~cross ~mode trace in
-  let* outcomes = run_production ~cross ~mode prod trace in
-  let* () = agree "production" ~reference outcomes in
-  match first_violation outcomes, subject with
-  | Some v, _ ->
-    Error (Fmt.str "violation on the fault-free cloud: %a" Outcome.pp v)
-  | None, Mix _ -> Ok ()
-  | None, Probe mutant ->
-    (* the mutant runs in Oracle mode, through production and the
-       reference, which must agree on the violation's kind too *)
-    let faults = mutant.Mutant.faults in
-    let* ctx = setup_or "mutant" (Scenario.setup ~faults ()) in
-    let outcomes = run ctx trace in
-    let* reference =
-      run_reference ~cross:false ~mode:Monitor.Oracle ~faults trace
-    in
-    let* () = agree "the mutant run" ~reference outcomes in
-    if has_violation outcomes then Ok ()
-    else Error ("mutant " ^ mutant.Mutant.name ^ " survived the trace")
 
 (* A mix must compile to the same trace every time: a property of the
    (mix, seed) pair, checked before the trace runs. *)
@@ -713,14 +743,56 @@ let recompiles = function
          (Fmt.str "mix %s at seed %d does not recompile identically" mix
             wl_seed))
 
-let monitor_check ~index subject trace =
+let monitor_check prod subject trace =
   let* () = recompiles subject in
-  check_trace ~index subject trace
+  let mode =
+    match prod with
+    | Serving | Journaled -> Monitor.Enforce
+    | Campaign | Chaos _ -> Monitor.Oracle
+  in
+  let cross = match subject with Mix _ -> true | Probe _ -> false in
+  let* reference = run_reference ~cross ~mode trace in
+  let* outcomes = run_production ~cross ~mode prod trace in
+  let* () = judge prod "production" ~reference outcomes in
+  match first_violation outcomes, subject with
+  | Some v, _ ->
+    Error (Fmt.str "violation on the correct cloud: %a" Outcome.pp v)
+  | None, Mix _ -> Ok ()
+  | None, Probe mutant ->
+    (* the mutant runs in Oracle mode, through production (under the
+       case's chaos, if any) and the reference, which must agree on the
+       violation's kind too *)
+    let faults = mutant.Mutant.faults in
+    let mutant_prod = match prod with Chaos _ -> prod | _ -> Campaign in
+    let* outcomes =
+      run_production ~cross:false ~mode:Monitor.Oracle ~faults mutant_prod
+        trace
+    in
+    let* reference =
+      run_reference ~cross:false ~mode:Monitor.Oracle ~faults trace
+    in
+    let* () = judge prod "the mutant run" ~reference outcomes in
+    if has_violation outcomes then Ok ()
+    else Error ("mutant " ^ mutant.Mutant.name ^ " survived the trace")
+
+(* What a corpus entry needs to replay the configuration exactly,
+   whatever the schedule: its name, and under chaos the profile and the
+   chaos seed. *)
+let production_payload prod =
+  ("config", config_name prod)
+  ::
+  (match prod with
+   | Chaos { profile; chaos_seed; _ } ->
+     [ ("chaos", Chaos_gen.describe profile);
+       ("chaos_seed", string_of_int chaos_seed)
+     ]
+   | Campaign | Serving | Journaled -> [])
 
 let monitor_run ~shrink ~seed ~index ~size =
   let subject = generated_subject ~seed ~index ~size in
+  let prod = production ~seed ~index ~size in
   let prefix, tail = case_parts ~seed ~index ~size subject in
-  let check prefix = monitor_check ~index subject (prefix @ tail) in
+  let check prefix = monitor_check prod subject (prefix @ tail) in
   match check prefix with
   | Ok () -> Pass
   | Error detail0 ->
@@ -737,10 +809,11 @@ let monitor_run ~shrink ~seed ~index ~size =
       Result.fold ~ok:(fun () -> detail0) ~error:Fun.id (check shrunk)
     in
     let trace = Workload.to_line (shrunk @ tail) in
-    let what, config = monitor_schedule index in
     Fail
       { oracle = "monitor"; index; detail; shrink_steps = steps;
-        repr = Fmt.str "%s under %s: %s" what config trace;
+        repr =
+          Fmt.str "%s under %s: %s" (subject_name subject) (config_name prod)
+            trace;
         entry =
           Corpus.make ~oracle:"monitor" ~seed ~index ~size
             ((match subject with
@@ -748,18 +821,21 @@ let monitor_run ~shrink ~seed ~index ~size =
               | Mix { mix; wl_seed; steps } ->
                 [ ("mix", mix); ("wl_seed", string_of_int wl_seed);
                   ("steps", string_of_int steps) ])
+            @ production_payload prod
             @ [ ("trace", trace) ])
       }
 
 (* Every payload field must parse.  [mix=] needs [wl_seed=] and
    [steps=]; an entry with neither [mutant=] nor [mix=] replays the
-   generated case, and one without [trace=] regenerates its trace. *)
+   generated case, one without [trace=] regenerates its trace, and one
+   without [config=] runs under the schedule's configuration for its
+   index.  A chaos [config=] needs [chaos=] and [chaos_seed=]. *)
 let monitor_replay (entry : Corpus.entry) =
   let { Corpus.seed; index; size; payload; _ } = entry in
+  let field key = Option.value ~default:"" (List.assoc_opt key payload) in
   let int key =
-    let text = Option.value ~default:"" (List.assoc_opt key payload) in
-    Option.to_result (int_of_string_opt text)
-      ~none:(Fmt.str "corpus %s=%S is not an integer" key text)
+    Option.to_result (int_of_string_opt (field key))
+      ~none:(Fmt.str "corpus %s=%S is not an integer" key (field key))
   in
   let* subject =
     match List.assoc_opt "mutant" payload, List.assoc_opt "mix" payload with
@@ -772,6 +848,24 @@ let monitor_replay (entry : Corpus.entry) =
       Ok (Mix { mix; wl_seed; steps })
     | None, None -> Ok (generated_subject ~seed ~index ~size)
   in
+  let* prod =
+    let chaos scope =
+      let* chaos_seed = int "chaos_seed" in
+      let* profile =
+        Option.to_result (Chaos_gen.parse (field "chaos"))
+          ~none:(Fmt.str "corpus chaos=%S is not a profile" (field "chaos"))
+      in
+      Ok (Chaos { profile; chaos_seed; scope })
+    in
+    match List.assoc_opt "config" payload with
+    | None -> Ok (production ~seed ~index ~size)
+    | Some "oracle/per-request" -> Ok Campaign
+    | Some "enforce/cross-request" -> Ok Serving
+    | Some "enforce/journaled" -> Ok Journaled
+    | Some "oracle/chaos/per-request" -> chaos Obs_cache.Per_request
+    | Some "oracle/chaos/cross-request" -> chaos Obs_cache.Cross_request
+    | Some other -> Error ("unknown corpus config " ^ other)
+  in
   let* trace =
     match List.assoc_opt "trace" payload with
     | Some text ->
@@ -780,69 +874,12 @@ let monitor_replay (entry : Corpus.entry) =
       let prefix, tail = case_parts ~seed ~index ~size subject in
       Ok (prefix @ tail)
   in
-  monitor_check ~index subject trace
+  monitor_check prod subject trace
 
 let monitor =
-  { name = "monitor"; weight = 5; run_case = monitor_run;
+  { name = "monitor"; weight = 6; run_case = monitor_run;
     replay = monitor_replay
   }
 
-(* ---- chaos: verdict integrity under unreliable transport ---- *)
-
-(* The fault-free and chaos runs of one trace may disagree only by a
-   verdict degrading to a non-definite one, and a kill must survive. *)
-let chaos_check ~mutant ~profile ~chaos_seed trace =
-  let faults = mutant.Mutant.faults in
-  let* ref_ctx = setup_or "chaos" (Scenario.setup ~faults ()) in
-  let* chaos_ctx =
-    setup_or "chaos"
-      (Scenario.setup ~faults ~chaos:profile ~chaos_seed
-         ~resilience:Cm_mutation.Campaign.chaos_policy ())
-  in
-  let ref_out = run ref_ctx trace in
-  let chaos_out = run chaos_ctx trace in
-  match Cm_mutation.Campaign.compare_outcomes ref_out chaos_out with
-  | _, (i, fault_free, chaos) :: _, _ ->
-    let req = (List.nth ref_out i).Outcome.request in
-    Error
-      (Fmt.str
-         "verdict flip under chaos: exchange %d (%s %s): fault-free %s, \
-          chaos %s"
-         i
-         (Meth.to_string req.Cm_http.Request.meth)
-         req.Cm_http.Request.path fault_free chaos)
-  | _ when has_violation ref_out && not (has_violation chaos_out) ->
-    Error ("kill of " ^ mutant.Mutant.name ^ " lost under chaos")
-  | _ -> Ok ()
-
-(* Everything a chaos case needs is re-derivable from (seed, index,
-   size), so corpus entries carry no payload and replay regenerates. *)
-let chaos_case ~seed ~index ~size =
-  let rng_noise, rng_probe = case_streams ~seed index in
-  let profile = Chaos_gen.gen_profile (Rng.split rng_noise) ~size in
-  let mutant = List.nth Mutant.all (index mod List.length Mutant.all) in
-  let noise, tail = probe_parts ~rng_noise ~rng_probe ~size mutant in
-  let trace = noise @ tail in
-  ( lazy
-      (Fmt.str "%s under %s vs %s" mutant.Mutant.name
-         (Chaos_gen.describe profile) (Workload.to_line trace)),
-    chaos_check ~mutant ~profile ~chaos_seed:(seed + (7919 * index)) trace )
-
-let chaos_run ~shrink:_ ~seed ~index ~size =
-  match chaos_case ~seed ~index ~size with
-  | _, Ok () -> Pass
-  | repr, Error detail ->
-    Fail
-      { oracle = "chaos"; index; detail; shrink_steps = 0;
-        repr = Lazy.force repr;
-        entry = Corpus.make ~oracle:"chaos" ~seed ~index ~size []
-      }
-
-let chaos_replay (entry : Corpus.entry) =
-  snd (chaos_case ~seed:entry.seed ~index:entry.index ~size:entry.size)
-
-let chaos =
-  { name = "chaos"; weight = 1; run_case = chaos_run; replay = chaos_replay }
-
-let all = [ engine; rbac; codegen; monitor; chaos ]
+let all = [ engine; rbac; codegen; monitor ]
 let find name = List.find_opt (fun o -> o.name = name) all

@@ -1,4 +1,4 @@
-(** The five differential oracles the fuzzer drives.
+(** The four differential oracles the fuzzer drives.
 
     - [engine]: random well-typed OCL expressions must evaluate to the
       same value and Kleene verdict under the staged compiler
@@ -15,25 +15,27 @@
     - [monitor]: production against the reference monitor
       ({!Cm_monitor.Reference}: naive classification, the full state
       observed with plain GETs, the AST interpreter, its own verdict
-      table) on workload traces.  Even cases are probe
-      cases on the Cinder models (random noise, the admin draining
-      every volume it created, one mutant's killing steps; the ten
-      {!Cm_mutation.Mutant.all} in rotation); odd cases run named mixes
-      on the cross models: the fixed [standard] and [cross] mixes once
-      under each configuration, then the seeded mixes in rotation at a
-      derived seed.  Production cycles by case index through Oracle
-      mode with a per-request cache, Enforce mode with a cross-request
-      cache and Enforce mode through the write-ahead journal (with the
-      journaled setup's per-request cache).  Each case demands
-      outcomes identical to the reference's in the same mode (no
-      normalization), no violation on the fault-free cloud, a journal
-      that replays through the reference to the recorded verdict lines,
-      a mix that recompiles bit-identically, and a probe's mutant killed
-      in Oracle mode with outcomes identical to the reference's on the
-      same mutant cloud (which pins the kind of each violation).
-      Failures shrink by dropping trace steps and record the trace in
-      {!Cm_workload.Workload.to_line} form.
-    - [chaos]: verdict integrity under unreliable transport (below).
+      table), always fault-free and in the same mode, on workload
+      traces.  Even cases probe the ten {!Cm_mutation.Mutant.all} in
+      rotation on the Cinder models (random noise, the admin draining
+      every volume it created, one mutant's killing steps); odd cases
+      run named mixes on the cross models.  Production cycles by case
+      pair through four configurations: Oracle mode with a per-request
+      cache, Enforce mode with a cross-request cache, Enforce mode
+      through the write-ahead journal, and Oracle mode under a random
+      bounded chaos profile ({!Chaos_gen}) with
+      {!Cm_mutation.Campaign.chaos_policy}, alternating the two cache
+      scopes.  Fault-free, outcomes must equal the reference's with no
+      normalization, a journal must replay through the reference to
+      its verdict lines, and a mix must recompile bit-identically.
+      Under chaos no definite verdict may flip from the reference's
+      ({!Cm_mutation.Campaign.compare_outcomes}).  No configuration may
+      report a violation on the correct cloud, and each probe's mutant
+      must be killed in Oracle mode, under the case's chaos if any,
+      judged the same way against the reference's mutant run.
+      Failures shrink by dropping trace steps and record the trace
+      ({!Cm_workload.Workload.to_line}) and the configuration, with the
+      chaos profile and seed.
 
     Every case is a pure function of [(seed, index, size)]; a failure is
     shrunk greedily and packaged as a replayable {!Corpus.entry}. *)
@@ -65,19 +67,12 @@ val monitor : t
 val monitor_schedule : int -> string * string
 (** What [monitor] case [index] runs ("probe <mutant>" or "mix <mix>")
     and the production configuration it runs it under
-    ("oracle/per-request", "enforce/cross-request" or
-    "enforce/journaled"). *)
+    ("oracle/per-request", "enforce/cross-request",
+    "enforce/journaled", "oracle/chaos/per-request" or
+    "oracle/chaos/cross-request"). *)
 
 val monitor_trace : seed:int -> index:int -> size:int -> Cm_workload.Workload.trace
 (** The trace [monitor] case [index] runs. *)
-
-val chaos : t
-(** Verdict integrity under unreliable transport: a probe case's trace
-    (as in [monitor]) runs once fault-free and once under a random
-    bounded chaos profile ({!Chaos_gen}) with the monitor's resilience
-    layer on.  Definite verdicts must not flip between the two runs,
-    and a mutant the fault-free run kills must still be killed under
-    chaos. *)
 
 val all : t list
 val find : string -> t option

@@ -391,12 +391,12 @@ let replay_tests =
 
 let oracle_tests =
   [ Alcotest.test_case "journal oracle passes a bounded run" `Slow (fun () ->
-        (* monitor cases 2, 5, 8 and 11 run production through the
+        (* monitor cases 4, 5, 12 and 13 run production through the
            journal (two probe and two mix cases) and replay the journal
            through the reference *)
         let report =
           Cm_proptest.Runner.run ~oracles:[ Cm_proptest.Oracle.monitor ]
-            ~shrink:false ~seed:42 ~cases:12 ()
+            ~shrink:false ~seed:42 ~cases:14 ()
         in
         List.iter
           (fun (f : Cm_proptest.Oracle.failure) ->

@@ -51,7 +51,14 @@ let corpus_tests =
           [ [ ("mutant", "M1-delete-privilege-escalation");
               ("trace", "admin create-volume #0 \"p1\" size=1; member delete")
             ];
-            [ ("mix", "read-heavy"); ("wl_seed", "42"); ("steps", "4O") ] ])
+            [ ("mix", "read-heavy"); ("wl_seed", "42"); ("steps", "4O") ];
+            [ ("mutant", "M1-delete-privilege-escalation");
+              ("config", "oracle/chaos/per-request");
+              ("chaos", "chaos{lat=1+2}"); ("chaos_seed", "7")
+            ];
+            [ ("mutant", "M1-delete-privilege-escalation");
+              ("config", "oracle/flaky")
+            ] ])
   ]
 
 let rng_tests =
@@ -122,6 +129,22 @@ let gen_tests =
             (Pretty.to_string (gen i))
             (Pretty.to_string (gen i))
         done);
+    Alcotest.test_case "chaos profiles round-trip" `Quick (fun () ->
+        (* a corpus entry records its chaos profile as [describe] text *)
+        for seed = 0 to 199 do
+          let profile =
+            Cm_proptest.Chaos_gen.gen_profile (Rng.of_seed seed)
+              ~size:(2 + (seed mod 10))
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "profile %d" seed)
+            true
+            (Cm_proptest.Chaos_gen.parse
+               (Cm_proptest.Chaos_gen.describe profile)
+            = Some profile)
+        done;
+        Alcotest.(check bool) "truncated text is rejected" true
+          (Cm_proptest.Chaos_gen.parse "chaos{lat=1+2}" = None));
     Alcotest.test_case "trace serialization round-trips" `Quick (fun () ->
         (* monitor cases (probe traces and mixes), every named mix at
            100 seeds, and a name that needs quoting *)
@@ -234,22 +257,29 @@ let runner_tests =
           List.assq Oracle.monitor (Runner.allocate ~cases:10_000 Oracle.all)
         in
         let schedule = List.init cases Oracle.monitor_schedule in
+        let under config p =
+          List.length
+            (List.filter
+               (fun (what, c) -> String.starts_with ~prefix:config c && p what)
+               schedule)
+        in
         List.iter
           (fun config ->
-            let under p =
-              List.length
-                (List.filter (fun (what, c) -> c = config && p what) schedule)
-            in
             Alcotest.(check bool) (config ^ " runs a quarter") true
-              (4 * under (fun _ -> true) >= cases);
-            Alcotest.(check bool) ("probe cases under " ^ config) true
-              (under (String.starts_with ~prefix:"probe ") > 0);
+              (4 * under config (fun _ -> true) >= cases);
+            List.iter
+              (fun (m : Cm_mutation.Mutant.t) ->
+                Alcotest.(check bool)
+                  (m.name ^ " is probed under " ^ config)
+                  true
+                  (under config (String.equal ("probe " ^ m.name)) > 0))
+              Cm_mutation.Mutant.all;
             (* each seeded mix meets every configuration; the fixed mixes
                run once under each, since a repeat is the same run *)
             List.iter
               (fun (mix : Workload.mix) ->
                 let name = mix.Workload.mix_name in
-                let runs = under (String.equal ("mix " ^ name)) in
+                let runs = under config (String.equal ("mix " ^ name)) in
                 match name with
                 | "standard" | "cross" ->
                   Alcotest.(check int) (name ^ " once under " ^ config) 1 runs
@@ -257,12 +287,19 @@ let runner_tests =
                   Alcotest.(check bool) (name ^ " under " ^ config) true
                     (runs > 0))
               Workload.mixes)
-          [ "oracle/per-request"; "enforce/cross-request"; "enforce/journaled" ];
+          [ "oracle/per-request"; "enforce/cross-request"; "enforce/journaled";
+            "oracle/chaos/"
+          ];
+        (* chaos cases alternate the two cache scopes, probes and mixes
+           alike *)
         List.iter
-          (fun (m : Cm_mutation.Mutant.t) ->
-            Alcotest.(check bool) (m.name ^ " is probed") true
-              (List.mem_assoc ("probe " ^ m.name) schedule))
-          Cm_mutation.Mutant.all);
+          (fun config ->
+            List.iter
+              (fun kind ->
+                Alcotest.(check bool) (kind ^ "cases under " ^ config) true
+                  (under config (String.starts_with ~prefix:kind) > 0))
+              [ "probe "; "mix " ])
+          [ "oracle/chaos/per-request"; "oracle/chaos/cross-request" ]);
     Alcotest.test_case "report is deterministic" `Quick (fun () ->
         let render () =
           Runner.render (Runner.run ~seed:9 ~cases:120 ())

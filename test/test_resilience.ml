@@ -91,6 +91,34 @@ let test_5xx_blips () =
   | Ok resp -> Alcotest.(check int) "persistent 503 passed through" 503 resp.Response.status
   | Error f -> Alcotest.fail (Resilience.failure_to_string f)
 
+(* The double read under [verified_reads]: a second read the retry loop
+   gave up on and passed through as a 503 is no fresher than a good
+   first answer, so the first one stands.  Bound as the answer, the 503
+   would make the observer see the resource as absent. *)
+let test_verified_read_keeps_good_first () =
+  let clock = Clock.create () in
+  let n = ref 0 in
+  let backend _ =
+    incr n;
+    if !n = 1 then Response.ok (Json.obj [ ("volumes", Json.list []) ])
+    else Response.error Status.service_unavailable "down"
+  in
+  let policy = { Resilience.default with Resilience.verified_reads = true } in
+  let r = Resilience.create policy clock backend in
+  (match Resilience.call_verified r (req Meth.GET "/v3/p/volumes") with
+   | Ok resp ->
+     Alcotest.(check int) "good first read kept" 200 resp.Response.status
+   | Error f -> Alcotest.fail (Resilience.failure_to_string f));
+  Alcotest.(check int) "second read retried to exhaustion"
+    (1 + policy.Resilience.max_attempts)
+    !n;
+  (* a 5xx first read is not improved on by keeping it over a 5xx *)
+  let down _ = Response.error Status.service_unavailable "down" in
+  let r2 = Resilience.create policy clock down in
+  match Resilience.call_verified r2 (req Meth.GET "/v3/p/volumes") with
+  | Ok resp -> Alcotest.(check int) "503 twice is the answer" 503 resp.Response.status
+  | Error f -> Alcotest.fail (Resilience.failure_to_string f)
+
 (* ---- circuit breaker ---- *)
 
 let test_breaker_transitions () =
@@ -464,7 +492,9 @@ let () =
           Alcotest.test_case "mutations not retried when disabled" `Quick
             test_mutation_retry_disabled;
           Alcotest.test_case "timeouts exhaust into unknown outcome" `Quick
-            test_timeout_exhausts
+            test_timeout_exhausts;
+          Alcotest.test_case "verified read keeps good first answer" `Quick
+            test_verified_read_keeps_good_first
         ] );
       ( "breaker",
         [ Alcotest.test_case "closed -> open -> half-open -> closed" `Quick

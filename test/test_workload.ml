@@ -272,7 +272,7 @@ let chaos_tests =
       `Slow (fun () ->
         List.iter
           (fun profile ->
-            match Campaign.run_chaos_cross profile Mutant.cross_mutants with
+            match Campaign.run_chaos ~cross:true profile Mutant.cross_mutants with
             | Error msgs -> Alcotest.fail (String.concat "; " msgs)
             | Ok runs ->
               if not (Campaign.chaos_ok runs) then
