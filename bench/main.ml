@@ -134,17 +134,16 @@ let section_listing23 () =
         end)
       files
 
-let run_lifecycle mode =
-  match Cm_mutation.Scenario.setup ~mode () with
-  | Error msgs -> failwith (String.concat "; " msgs)
-  | Ok ctx ->
-    Cm_mutation.Scenario.standard ctx;
-    ctx
-
 let section_fig2 () =
   banner "F2: monitor workflow verdicts over the standard lifecycle (Fig. 2)";
-  let ctx = run_lifecycle Cm_monitor.Monitor.Oracle in
-  let outcomes = Cm_monitor.Monitor.outcomes ctx.Cm_mutation.Scenario.monitor in
+  let ctx =
+    match Cm_mutation.Scenario.setup () with
+    | Error msgs -> failwith (String.concat "; " msgs)
+    | Ok ctx -> ctx
+  in
+  let outcomes =
+    Cm_mutation.Scenario.run_trace ctx Cm_workload.Workload.standard_trace
+  in
   List.iter (fun o -> Fmt.pr "%a@." Cm_monitor.Outcome.pp o) outcomes;
   print_newline ();
   print_string
@@ -955,9 +954,8 @@ let section_testgen () =
     match Cm_mutation.Scenario.setup ~faults () with
     | Error _ -> false
     | Ok ctx ->
-      Cm_mutation.Scenario.standard ctx;
       Cm_monitor.Report.violations
-        (Cm_monitor.Monitor.outcomes ctx.Cm_mutation.Scenario.monitor)
+        (Cm_mutation.Scenario.run_trace ctx Cm_workload.Workload.standard_trace)
       <> []
   in
   let generated_kills faults =
@@ -992,9 +990,9 @@ let section_localize () =
     (match Cm_mutation.Scenario.setup ~faults:m.Cm_mutation.Mutant.faults () with
      | Error msgs -> List.iter print_endline msgs
      | Ok ctx ->
-       Cm_mutation.Scenario.standard ctx;
        let outcomes =
-         Cm_monitor.Monitor.outcomes ctx.Cm_mutation.Scenario.monitor
+         Cm_mutation.Scenario.run_trace ctx
+           Cm_workload.Workload.standard_trace
        in
        let jsonl = Cm_monitor.Trace.to_jsonl outcomes in
        Printf.printf "trace: %d exchanges, %d bytes of JSONL\n"

@@ -44,8 +44,10 @@ let lifecycle verbose mode_name =
     List.iter prerr_endline msgs;
     1
   | Ok ctx ->
-    Cloudmon.Mutation.Scenario.standard ctx;
-    let outcomes = Cloudmon.Monitor.outcomes ctx.Cloudmon.Mutation.Scenario.monitor in
+    let outcomes =
+      Cloudmon.Mutation.Scenario.run_trace ctx
+        Cloudmon.Workload.standard_trace
+    in
     List.iter (fun o -> Fmt.pr "%a@." Cloudmon.Outcome.pp o) outcomes;
     print_endline "";
     print_string

@@ -44,11 +44,13 @@ let () =
   let alice = token "alice" "alice-pw" in
   let bob = token "bob" "bob-pw" in
   let carol = token "carol" "carol-pw" in
+  let outcomes = ref [] in
   let step label user meth path ?body () =
     let req =
       C.Http.Request.make ?body meth path |> C.Http.Request.with_auth_token user
     in
     let outcome = C.Monitor.handle monitor req in
+    outcomes := outcome :: !outcomes;
     Fmt.pr "%-44s -> %3d %a@." label
       outcome.C.Outcome.response.C.Http.Response.status
       C.Outcome.pp_conformance outcome.C.Outcome.conformance;
@@ -116,5 +118,5 @@ let () =
   ignore
     (step "alice deletes volume 1" alice C.Http.Meth.DELETE (base ^ "/" ^ v1) ());
   print_endline "";
-  let summary = C.Report.summarize (C.Monitor.outcomes monitor) in
+  let summary = C.Report.summarize (List.rev !outcomes) in
   print_string (C.Report.render summary ~coverage:(C.Monitor.coverage monitor))

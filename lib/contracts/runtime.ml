@@ -82,7 +82,7 @@ let tracked_mask (t : Compile.tracked) = t.Compile.mask
 let tracked_impure (t : Compile.tracked) = t.Compile.impure
 
 let stage_contract (contract : Contract.t) (compiled : Snapshot.compiled) =
-  let plan = Compile.plan ~memoize:true () in
+  let plan = Compile.plan () in
   (* Stage the narrower expressions first: compile_tracked publishes each
      wrapped root into the plan's CSE table, and the precondition contains
      all of them as subtrees (pre = disj over branches of

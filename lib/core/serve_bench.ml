@@ -345,9 +345,17 @@ let verdict_run spec ~domains =
           Outcome.conformance_to_string o.Outcome.conformance)
         arr
     in
+    (* Each shard serves its requests in arrival order, so its sequence
+       is the arrival-order result grouped by shard. *)
+    let by_shard = Array.make (Shard.shards pool) [] in
+    List.iteri
+      (fun i req ->
+        let s = Shard.shard_of pool req in
+        by_shard.(s) <- outcomes.(i) :: by_shard.(s))
+      reqs;
     Ok
       ( names (Array.to_list outcomes),
-        Array.map names (Shard.outcomes_by_shard pool) )
+        Array.map (fun o -> names (List.rev o)) by_shard )
 
 let run_handle_ns spec =
   let world = setup spec in

@@ -19,7 +19,8 @@ type t = {
   mutable next_seq : int;
   mutable current : int option;  (* seq of the in-flight exchange *)
   mutable unsynced_verdicts : int;
-  mutable verdict_log : Event.verdict_record list;  (* newest first *)
+  by_rid : (string, Event.verdict_record) Hashtbl.t;
+      (* request id -> its latest verdict *)
 }
 
 let monitor t = t.monitor
@@ -69,7 +70,7 @@ let make_instance ?(batch = 8) ?crash device (make : make) =
           next_seq = 1;
           current = None;
           unsynced_verdicts = 0;
-          verdict_log = [];
+          by_rid = Hashtbl.create 64;
         }
       in
       cell := Some t;
@@ -100,7 +101,7 @@ let emit t ~seq ~rid outcome =
     t.unsynced_verdicts <- 0
   end;
   Crash.at t.crash "journal.after-verdict";
-  t.verdict_log <- v :: t.verdict_log;
+  Hashtbl.replace t.by_rid rid v;
   v
 
 let handle t req =
@@ -127,8 +128,6 @@ let handle t req =
   t.current <- None;
   outcome
 
-let handle_response t req = (handle t req).Outcome.response
-
 let mark t note =
   let seq = alloc t in
   Journal.append t.journal (Event.Mark { seq; note })
@@ -137,11 +136,16 @@ let sync t =
   Journal.sync t.journal;
   t.unsynced_verdicts <- 0
 
-let verdicts t = List.rev t.verdict_log
-let verdict_lines t = List.map Event.verdict_line (verdicts t)
+let verdicts_of events =
+  List.filter_map
+    (function
+      | Event.Verdict v -> Some v
+      | Event.Request _ | Event.Pre _ | Event.Mark _ -> None)
+    events
 
-let verdict_for_rid t rid =
-  List.find_opt (fun v -> String.equal v.Event.v_rid rid) t.verdict_log
+let verdicts t = verdicts_of (fst (Journal.scan (device t)))
+let verdict_lines t = List.map Event.verdict_line (verdicts t)
+let verdict_for_rid t rid = Hashtbl.find_opt t.by_rid rid
 
 type recovery = {
   events_scanned : int;
@@ -167,7 +171,7 @@ let recover ?batch ?crash device make =
           match ev with
           | Event.Verdict v ->
               Hashtbl.replace concluded v.Event.v_seq ();
-              t.verdict_log <- v :: t.verdict_log
+              Hashtbl.replace t.by_rid v.Event.v_rid v
           | Event.Pre { seq; image } -> Hashtbl.replace pre_images seq image
           | Event.Request _ | Event.Mark _ -> ())
         events;
@@ -220,8 +224,4 @@ let replay_plan events =
     events
 
 let journaled_verdict_lines events =
-  List.filter_map
-    (function
-      | Event.Verdict v -> Some (Event.verdict_line v)
-      | Event.Request _ | Event.Pre _ | Event.Mark _ -> None)
-    events
+  List.map Event.verdict_line (verdicts_of events)

@@ -58,8 +58,6 @@ val handle : t -> Cm_http.Request.t -> Cm_monitor.Outcome.t
     before journaling, so a recovery re-forward always dedups.  Raises
     [Cm_core.Crash.Crashed] when an armed crash point fires. *)
 
-val handle_response : t -> Cm_http.Request.t -> Cm_http.Response.t
-
 val mark : t -> string -> unit
 (** Journal an out-of-band action (relogin, tenant churn) so replays
     can re-perform it in sequence. *)
@@ -68,8 +66,9 @@ val sync : t -> unit
 (** Explicit durability barrier (e.g. at clean shutdown). *)
 
 val verdicts : t -> Event.verdict_record list
-(** Every verdict this instance knows, oldest first — after
-    {!recover}, journaled history followed by resumed verdicts. *)
+(** Every verdict on the device, oldest first, decoded with
+    {!Journal.scan} — after {!recover}, the journaled history followed
+    by the resumed verdicts and everything handled since. *)
 
 val verdict_lines : t -> string list
 (** {!verdicts} through {!Event.verdict_line}. *)
@@ -79,10 +78,11 @@ val verdict_of :
 (** The verdict record {!handle} journals for an outcome. *)
 
 val verdict_for_rid : t -> string -> Event.verdict_record option
-(** Latest verdict for an idempotency key.  A client that crashed
-    mid-call asks this after recovery: [Some v] means the exchange
-    completed (use the recorded response); [None] means it is safe to
-    re-issue with the same key. *)
+(** Latest verdict for an idempotency key: a table lookup, filled by
+    {!handle} and by {!recover} from the journal.  A client that
+    crashed mid-call asks this after recovery: [Some v] means the
+    exchange completed (use the recorded response); [None] means it is
+    safe to re-issue with the same key. *)
 
 type recovery = {
   events_scanned : int;  (** clean events found on the device *)

@@ -93,7 +93,8 @@ type t = {
       (* path entries derived once; per request this is re-targeted with
          [with_project] (a cheap record copy) instead of re-deriving *)
   cache : Obs_cache.t;
-  mutable log : Outcome.t list;  (* newest first *)
+  coverage : (string, int ref) Hashtbl.t;
+      (* per SecReq id of every contract: exchanges that exercised it *)
 }
 
 let contracts t = List.map (fun (_, p) -> Runtime.contract p) t.prepared
@@ -119,27 +120,10 @@ let eval_stats t =
 let flush_cache t = Obs_cache.clear t.cache
 let uri_table t = t.entries
 let configuration t = t.config
-let outcomes t = List.rev t.log
-let reset_log t = t.log <- []
+let reset_log t = Hashtbl.iter (fun _ count -> count := 0) t.coverage
 
 let coverage t =
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun (_, p) ->
-      List.iter
-        (fun req_id ->
-          if not (Hashtbl.mem table req_id) then Hashtbl.add table req_id 0)
-        (Runtime.contract p).Contract.requirements)
-    t.prepared;
-  List.iter
-    (fun (outcome : Outcome.t) ->
-      List.iter
-        (fun req_id ->
-          Hashtbl.replace table req_id
-            (1 + Option.value ~default:0 (Hashtbl.find_opt table req_id)))
-        outcome.covered_requirements)
-    t.log;
-  Hashtbl.fold (fun req_id count acc -> (req_id, count) :: acc) table []
+  Hashtbl.fold (fun req_id count acc -> (req_id, !count) :: acc) t.coverage []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let dispatch_table entries =
@@ -231,6 +215,13 @@ let create config backend =
                  (c.Contract.trigger, Runtime.prepare c))
                contract_list
            in
+           let coverage = Hashtbl.create 16 in
+           List.iter
+             (fun c ->
+               List.iter
+                 (fun req_id -> Hashtbl.replace coverage req_id (ref 0))
+                 c.Contract.requirements)
+             contract_list;
            let by_trigger = Hashtbl.create (2 * List.length prepared + 1) in
            List.iter
              (fun (trigger, p) ->
@@ -287,7 +278,7 @@ let create config backend =
                write_templates;
                observer_base;
                cache;
-               log = []
+               coverage
              }
          end)
 
@@ -513,7 +504,9 @@ let record t outcome =
   (if Outcome.is_violation outcome.Outcome.conformance then
      Log.warn (fun m -> m "%a" Outcome.pp outcome)
    else Log.debug (fun m -> m "%a" Outcome.pp outcome));
-  t.log <- outcome :: t.log;
+  List.iter
+    (fun req_id -> Option.iter incr (Hashtbl.find_opt t.coverage req_id))
+    outcome.Outcome.covered_requirements;
   outcome
 
 (* A post-state violation is only trustworthy if the observation is

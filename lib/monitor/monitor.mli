@@ -5,8 +5,8 @@
     matching trigger's contract is evaluated over the observed pre-state;
     the request is forwarded (or blocked, depending on {!mode}); the
     postcondition is evaluated over the observed post-state against the
-    snapshot taken before forwarding; and a conformance verdict is
-    logged.
+    snapshot taken before forwarding; and the exchange's conformance
+    verdict is returned to the caller, which keeps what it needs.
 
     Two modes serve the paper's two uses:
     - {b Enforce} — the proxy of Fig. 2: a request whose precondition
@@ -152,7 +152,8 @@ val create : config -> Observer.backend -> (t, string list) result
 
 val handle : t -> Cm_http.Request.t -> Outcome.t
 (** Monitor one request.  The outcome's [response] is what the caller
-    should see; the full exchange is also appended to {!outcomes}.
+    should see; the outcome is the full exchange, and the monitor keeps
+    none of it beyond the {!coverage} counts and the {!Logs} line.
 
     Never raises (short of resource exhaustion): transport failures that
     escape the resilience layer become [Degraded] outcomes, and any
@@ -166,7 +167,8 @@ val resume : t -> Cm_http.Request.t -> pre_image -> Outcome.t
     [X-Request-Id], which the backend dedups — the post-state is
     observed fresh, and the verdict is classified exactly as {!handle}
     would have, using the journaled pre-image in place of a re-run
-    pre-phase.  The outcome is logged like any other exchange. *)
+    pre-phase.  The outcome counts towards {!coverage} like any other
+    exchange. *)
 
 val resilience : t -> Resilience.t option
 (** The live resilience layer (breaker states, per-route metrics), when
@@ -228,12 +230,12 @@ val trigger_for :
 
 val contract_for_trigger :
   t -> Cm_uml.Behavior_model.trigger -> Cm_contracts.Contract.t option
-val outcomes : t -> Outcome.t list
-(** All logged outcomes, oldest first. *)
 
 val coverage : t -> (string * int) list
 (** Requirement id -> number of exchanges that exercised it (the
     traceability view of §IV-C), including ids never exercised (count
-    0), sorted by id. *)
+    0), sorted by id.  One counter per requirement of every contract,
+    made at {!create} and bumped by every {!handle} and {!resume}. *)
 
 val reset_log : t -> unit
+(** Zero the {!coverage} counters. *)

@@ -24,7 +24,6 @@ type t = {
   contracts : Contract.t list;
   backend : Request.t -> Response.t;
   mutable evals : int;
-  mutable log : Outcome.t list;  (* newest first *)
 }
 
 let create ?(mode = Oracle) ~service_token ?service_token_for ~security
@@ -34,9 +33,8 @@ let create ?(mode = Oracle) ~service_token ?service_token_for ~security
   | Error msg, _ | _, Error msg -> Error [ msg ]
   | Ok entries, Ok contracts ->
     Ok { mode; service_token; service_token_for; resources; behavior; entries;
-         contracts; backend; evals = 0; log = [] }
+         contracts; backend; evals = 0 }
 
-let outcomes t = List.rev t.log
 let evals t = t.evals
 
 (* Every template the path matches, the most specific first (derivation
@@ -330,21 +328,17 @@ let uncontracted t req trigger =
       "method has no contract in the model"
 
 let handle t (req : Request.t) =
-  let result =
-    match classify t req.path with
-    | None ->
-      let cloud = t.backend req in
-      outcome req ~cloud cloud Outcome.Not_monitored
-        "no model entry for this URI"
-    | Some (entry, bindings) ->
-      let trigger = trigger t entry req.meth in
-      let contract (tr : BM.trigger) =
-        List.find_opt (fun (c : Contract.t) -> BM.trigger_equal c.trigger tr)
-          t.contracts
-      in
-      (match Option.bind trigger contract with
-       | None -> uncontracted t req trigger
-       | Some c -> contracted t req bindings c)
-  in
-  t.log <- result :: t.log;
-  result
+  match classify t req.path with
+  | None ->
+    let cloud = t.backend req in
+    outcome req ~cloud cloud Outcome.Not_monitored
+      "no model entry for this URI"
+  | Some (entry, bindings) ->
+    let trigger = trigger t entry req.meth in
+    let contract (tr : BM.trigger) =
+      List.find_opt (fun (c : Contract.t) -> BM.trigger_equal c.trigger tr)
+        t.contracts
+    in
+    (match Option.bind trigger contract with
+     | None -> uncontracted t req trigger
+     | Some c -> contracted t req bindings c)

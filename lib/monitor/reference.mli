@@ -34,7 +34,8 @@ val create :
     contracts cannot be derived. *)
 
 val handle : t -> Cm_http.Request.t -> Outcome.t
-val outcomes : t -> Outcome.t list  (** oldest first *)
+(** Judge one request and return the exchange.  The reference keeps no
+    outcome: the caller collects what [handle] returns. *)
 
 val evals : t -> int
 (** Contract checks evaluated so far (pre, covered requirements, auth

@@ -92,8 +92,6 @@ let handle_all ?(domains = 1) t reqs =
     (function Some o -> o | None -> assert false (* every index queued *))
     results
 
-let outcomes_by_shard t = Array.map Monitor.outcomes t.monitors
-
 let cache_stats t =
   Array.fold_left
     (fun acc m ->

@@ -29,8 +29,8 @@ val create :
 val shards : t -> int
 
 val monitor : t -> int -> Monitor.t
-(** The replica serving shard [i] — for per-shard outcome logs,
-    coverage, and cache statistics. *)
+(** The replica serving shard [i] — for per-shard coverage and cache
+    statistics. *)
 
 val shard_of : t -> Cm_http.Request.t -> int
 (** The shard that will serve this request: FNV-1a hash of the
@@ -56,10 +56,9 @@ val handle_all :
     The result is identical for every [domains] value.  Batches run on
     the process-wide persistent {!Cm_core.Domain_pool} — domains are
     spawned on first use and parked between batches, so steady-state
-    serving never pays [Domain.spawn]. *)
-
-val outcomes_by_shard : t -> Outcome.t list array
-(** Each shard's outcome log, in that shard's processing order. *)
+    serving never pays [Domain.spawn].  A shard's own outcome
+    sequence, in the order it served them, is the result filtered by
+    {!shard_of}. *)
 
 val cache_stats : t -> Obs_cache.stats
 (** Pool-wide observation-cache counters, summed over every replica's

@@ -31,27 +31,23 @@ let trace_of cross =
   if cross then Cm_workload.Workload.cross_trace
   else Cm_workload.Workload.standard_trace
 
-(* A fresh cloud with the mutant's faults, run through production. *)
+(* A fresh cloud with the mutant's faults, run through production:
+   the context and the trace's outcomes. *)
 let run_production ~cross ?chaos ?chaos_seed ?resilience mutant =
   let setup = if cross then Scenario.setup_cross else Scenario.setup in
   Result.map
-    (fun ctx ->
-      ignore (Scenario.run_trace ctx (trace_of cross));
-      ctx)
+    (fun ctx -> (ctx, Scenario.run_trace ctx (trace_of cross)))
     (setup ~faults:(faults_of mutant) ?chaos ?chaos_seed ?resilience ())
 
 (* ... and through the reference, fault-free. *)
 let reference_outcomes ~cross mutant =
   Result.map
-    (fun rctx ->
-      ignore (Scenario.run_reference rctx (trace_of cross));
-      Cm_monitor.Reference.outcomes rctx.Scenario.reference)
+    (fun rctx -> Scenario.run_reference rctx (trace_of cross))
     (Scenario.setup_reference ~cross ~faults:(faults_of mutant) ())
 
 let run_one_on ~cross mutant =
   Result.map
-    (fun ctx ->
-      result_of mutant (Cm_monitor.Monitor.outcomes ctx.Scenario.monitor))
+    (fun (_, outcomes) -> result_of mutant outcomes)
     (run_production ~cross mutant)
 
 let run_one = run_one_on ~cross:false
@@ -175,8 +171,7 @@ let run_chaos_one ~cross ?(seed = 42) profile ~index mutant =
   | Error msgs -> Error msgs
   | Ok ref_outcomes ->
     Result.map
-      (fun ctx ->
-        let outcomes = Cm_monitor.Monitor.outcomes ctx.Scenario.monitor in
+      (fun (ctx, outcomes) ->
         let comparable, flips, indefinite =
           compare_outcomes ref_outcomes outcomes
         in

@@ -59,13 +59,15 @@ let run ?(config = default_config) ?(faults = Cm_cloudsim.Faults.none) () =
         (1 + Option.value ~default:0 (Hashtbl.find_opt actions label))
     in
     let token_of user = List.assoc user ctx.Scenario.tokens in
+    let outcomes = ref [] in
     for _ = 1 to config.steps do
       let user = List.nth users (Random.State.int rng (List.length users)) in
       let token = token_of user in
       let send ?body meth path =
-        ignore
-          (Cm_monitor.Monitor.handle ctx.Scenario.monitor
-             (Request.make ?body meth path |> Request.with_auth_token token))
+        outcomes :=
+          Cm_monitor.Monitor.handle ctx.Scenario.monitor
+            (Request.make ?body meth path |> Request.with_auth_token token)
+          :: !outcomes
       in
       match Random.State.int rng 8 with
       | 0 ->
@@ -118,7 +120,7 @@ let run ?(config = default_config) ?(faults = Cm_cloudsim.Faults.none) () =
              (volumes_path ^ "/" ^ id ^ "/action")
          | None -> ())
     done;
-    let outcomes = Cm_monitor.Monitor.outcomes ctx.Scenario.monitor in
+    let outcomes = List.rev !outcomes in
     let verdicts = Hashtbl.create 8 in
     List.iter
       (fun (o : Outcome.t) ->

@@ -142,13 +142,22 @@ let env_over cloud tokens ~handle ~flush =
     flush
   }
 
-let exec_env ctx =
-  env_over ctx.cloud ctx.tokens ~handle:(Monitor.handle_response ctx.monitor)
-    ~flush:(fun () -> Monitor.flush_cache ctx.monitor)
+(* Run [trace] in the environment [env keep], whose monitored requests
+   answer through [keep]: the outcomes [keep] saw, in order. *)
+let collect env trace =
+  let outcomes = ref [] in
+  let keep outcome =
+    outcomes := outcome :: !outcomes;
+    outcome.Cm_monitor.Outcome.response
+  in
+  ignore (Exec.run (env keep) trace);
+  List.rev !outcomes
 
-let run_trace ctx trace = Exec.run (exec_env ctx) trace
-let standard ctx = ignore (run_trace ctx Workload.standard_trace)
-let cross ctx = ignore (run_trace ctx Workload.cross_trace)
+let run_trace ctx =
+  collect (fun keep ->
+      env_over ctx.cloud ctx.tokens
+        ~handle:(fun req -> keep (Monitor.handle ctx.monitor req))
+        ~flush:(fun () -> Monitor.flush_cache ctx.monitor))
 
 (* ------------------------------------------------------------------ *)
 (* Reference contexts: the same fresh cloud, judged by the reference
@@ -176,13 +185,11 @@ let setup_reference ?(cross = false) ?(mode = Monitor.Oracle)
     (Reference.create ~mode ~service_token ~security:(security table)
        resources behavior backend)
 
-let run_reference rctx trace =
-  Exec.run
-    (env_over rctx.rcloud rctx.rtokens
-       ~handle:(fun req ->
-         (Reference.handle rctx.reference req).Cm_monitor.Outcome.response)
-       ~flush:ignore)
-    trace
+let run_reference rctx =
+  collect (fun keep ->
+      env_over rctx.rcloud rctx.rtokens
+        ~handle:(fun req -> keep (Reference.handle rctx.reference req))
+        ~flush:ignore)
 
 (* ------------------------------------------------------------------ *)
 (* Journaled contexts: the same scenario with the monitor wrapped in a
@@ -250,7 +257,7 @@ let response_of_verdict (v : Cm_journal.Event.verdict_record) =
   | Some body -> Cm_http.Response.make ~body v.Cm_journal.Event.v_status
   | None -> Cm_http.Response.make v.Cm_journal.Event.v_status
 
-let jexec_env jctx =
+let jexec_env jctx keep =
   (* Each environment numbers the monitored requests it issues and tags
      them [stp-<n>] — a deterministic idempotency key.  A driver that
      re-runs a trace after crash recovery gets the recorded response
@@ -274,7 +281,7 @@ let jexec_env jctx =
                   req.Request.headers
             }
           in
-          Jmonitor.handle_response jctx.jmon req);
+          keep (Jmonitor.handle jctx.jmon req));
     token = (fun role -> token_in jctx.jtokens (fst (user_of_role role)));
     relogin =
       Some
@@ -289,7 +296,7 @@ let jexec_env jctx =
     flush = (fun () -> Monitor.flush_cache (Jmonitor.monitor jctx.jmon))
   }
 
-let jrun_trace jctx trace = Exec.run (jexec_env jctx) trace
+let jrun_trace jctx = collect (jexec_env jctx)
 
 let journal_events jctx = fst (Cm_journal.Journal.scan jctx.jdevice)
 

@@ -63,26 +63,17 @@ val request :
   Cm_monitor.Outcome.t
 (** One request through the monitor, authenticated as the user. *)
 
-val exec_env : ctx -> Cm_workload.Exec.env
-(** The execution environment binding the workload DSL's roles to the
-    paper's users (admin alice, member bob, user carol), resolving
-    requests through the monitor, re-authenticating on
-    [Relogin] steps and churning throwaway projects out-of-band on
-    [Churn_project] steps (with a cache flush after). *)
-
-val run_trace : ctx -> Cm_workload.Workload.trace -> int
-(** Execute a workload trace through the monitor; returns the number
-    of monitored requests issued.  Outcomes accumulate in the
-    monitor's log. *)
-
-val standard : ctx -> unit
-(** Run the standard 16-step workload ({!Cm_workload.Workload.standard_trace});
-    outcomes accumulate in the monitor's log. *)
-
-val cross : ctx -> unit
-(** Run the cross-service workload ({!Cm_workload.Workload.cross_trace});
-    requires a {!setup_cross} context — under {!setup}'s single-service
-    models the compute/image steps are merely unclassified. *)
+val run_trace :
+  ctx -> Cm_workload.Workload.trace -> Cm_monitor.Outcome.t list
+(** Execute a workload trace through the monitor and return the
+    outcome of every monitored request, in order.  The workload DSL's
+    roles are the paper's users (admin alice, member bob, user carol);
+    [Relogin] steps re-authenticate and [Churn_project] steps churn
+    throwaway projects out-of-band (with a cache flush after).  The
+    standard 16-step workload is {!Cm_workload.Workload.standard_trace};
+    the cross-service one, {!Cm_workload.Workload.cross_trace}, needs a
+    {!setup_cross} context — under {!setup}'s single-service models its
+    compute/image steps are merely unclassified. *)
 
 (** {2 Reference contexts}
 
@@ -107,9 +98,9 @@ val setup_reference :
 (** {!setup} (or {!setup_cross} with [~cross:true]) with the reference
     monitor in the given mode in place of the production monitor. *)
 
-val run_reference : rctx -> Cm_workload.Workload.trace -> int
-(** {!run_trace} through the reference; outcomes accumulate in
-    [Cm_monitor.Reference.outcomes]. *)
+val run_reference :
+  rctx -> Cm_workload.Workload.trace -> Cm_monitor.Outcome.t list
+(** {!run_trace} through the reference. *)
 
 (** {2 Journaled contexts}
 
@@ -153,14 +144,15 @@ val jrecover : jctx -> (Cm_journal.Jmonitor.recovery, string list) result
     journal, finishes the in-flight exchange, and installs the new
     instance into [jctx.jmon]. *)
 
-val jexec_env : jctx -> Cm_workload.Exec.env
-(** Like {!exec_env} over the journaled monitor, with two twists: each
+val jrun_trace :
+  jctx -> Cm_workload.Workload.trace -> Cm_monitor.Outcome.t list
+(** {!run_trace} over the journaled monitor, with two twists: each
     monitored request is tagged with the deterministic idempotency key
     [stp-<n>], and a request whose key already has a journaled verdict
-    returns the {e recorded} response without re-issuing — which is
-    what makes "re-run the trace after recovery" exactly-once. *)
-
-val jrun_trace : jctx -> Cm_workload.Workload.trace -> int
+    gets the {e recorded} response without reaching the monitor —
+    which is what makes "re-run the trace after recovery"
+    exactly-once.  Such a step yields no outcome: the result holds the
+    outcomes of the requests the monitor handled, in order. *)
 
 val journal_events : jctx -> Cm_journal.Event.t list
 (** The clean events currently on the context's device. *)

@@ -47,23 +47,21 @@ type plan = {
   free_tbl : (string, int) Hashtbl.t;
   mutable frees : (string * int) list;  (* reversed insertion order *)
   mutable size : int;  (* free slots + iterator scratch slots *)
-  memoize : bool;  (* wrap connectives in epoch-stamped caches *)
   mutable scratch_mask : int;  (* bits of iterator scratch slots *)
   mutable nodes : int;  (* memo node ids handed out so far *)
   cse : (Ast.expr * (string * int) list, staged * info) Hashtbl.t;
-      (* structural common-subexpression table (memoizing plans only):
-         the same subtree under the same binder scope stages to the
-         same closure and the same memo node, so the generated pre,
-         functional pre, auth guard and branch preconditions — which
-         are all built from shared model pieces — share verdict
-         caches across the contract's expressions *)
+      (* structural common-subexpression table: the same subtree
+         under the same binder scope stages to the same closure and the
+         same memo node, so the generated pre, functional pre, auth
+         guard and branch preconditions — which are all built from
+         shared model pieces — share verdict caches across the
+         contract's expressions *)
 }
 
-let plan ?(memoize = false) () =
+let plan () =
   { free_tbl = Hashtbl.create 16;
     frees = [];
     size = 0;
-    memoize;
     scratch_mask = 0;
     nodes = 0;
     cse = Hashtbl.create 64
@@ -142,9 +140,7 @@ let memo_wrap plan st info =
   match st with
   | Const _ -> (st, info)
   | Dyn f ->
-    if
-      (not plan.memoize) || info.impure || info.node >= 0
-      || info.mask land plan.scratch_mask <> 0
+    if info.impure || info.node >= 0 || info.mask land plan.scratch_mask <> 0
     then (st, info)
     else begin
       let id = plan.nodes in
@@ -173,21 +169,18 @@ let memo_wrap plan st info =
 (* [truth_like f] — the connectives only look at the truth of their
    operands, so compile them down to tribool producers.
 
-   Memoizing plans stage through the structural CSE table: the same
-   subtree under the same binder scope returns the identical staged
-   closure (and memo node), however many expressions of the plan it
-   occurs in. *)
+   Staging goes through the structural CSE table: the same subtree
+   under the same binder scope returns the identical staged closure
+   (and memo node), however many expressions of the plan it occurs
+   in. *)
 let rec stage plan scope expr : staged * info =
-  if not plan.memoize then stage_fresh plan scope expr
-  else begin
-    let key = (expr, scope) in
-    match Hashtbl.find_opt plan.cse key with
-    | Some r -> r
-    | None ->
-      let r = stage_fresh plan scope expr in
-      Hashtbl.add plan.cse key r;
-      r
-  end
+  let key = (expr, scope) in
+  match Hashtbl.find_opt plan.cse key with
+  | Some r -> r
+  | None ->
+    let r = stage_fresh plan scope expr in
+    Hashtbl.add plan.cse key r;
+    r
 
 and stage_fresh plan scope expr : staged * info =
   match expr with
@@ -414,7 +407,7 @@ let compile_tracked plan expr =
   (* Publish the wrapped root back into the CSE table: a later
      expression of the same plan containing this one as a subtree then
      shares its memo node instead of re-wrapping a fresh one. *)
-  if plan.memoize then Hashtbl.replace plan.cse (expr, []) (st, info);
+  Hashtbl.replace plan.cse (expr, []) (st, info);
   match st with
   | Const v ->
     { run = (fun _ -> v); const = true; node = no_node; mask = 0; impure = false }

@@ -23,10 +23,12 @@
 
     {2 Incremental evaluation}
 
-    A plan created with [~memoize:true] additionally wraps every pure
-    [and]/[or]/[implies] node (and each compiled root) in an
-    epoch-stamped cache.  A {!memo} tracks, per slot, the epoch at which
-    its value last changed; a node whose dependency slots are all
+    Every plan stages through a structural common-subexpression table
+    and wraps every pure [and]/[or]/[implies] node (and each compiled
+    root) in an epoch-stamped cache.  The caches only act on frames
+    carrying a {!memo}: a frame from {!frame_of_env} has none, so its
+    closures run uncached.  A {!memo} tracks, per slot, the epoch at
+    which its value last changed; a node whose dependency slots are all
     unchanged since its last evaluation replays its cached verdict
     without recomputing and without allocating.  {!refresh} diffs a
     persistent frame against a new environment ({!Value.same}), bumping
@@ -41,9 +43,8 @@ type plan
     created {e after} every expression of the family has been
     compiled. *)
 
-val plan : ?memoize:bool -> unit -> plan
-(** [memoize] (default [false]) enables per-node epoch-stamped caches;
-    they only activate on frames carrying a {!memo}. *)
+val plan : unit -> plan
+(** A fresh, empty slot layout. *)
 
 val var_slot : plan -> string -> int
 (** Slot index of a free context variable, allocating one if needed —

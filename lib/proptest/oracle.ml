@@ -15,7 +15,6 @@ module Subject = Cm_rbac.Subject
 module Mutant = Cm_mutation.Mutant
 module Scenario = Cm_mutation.Scenario
 module Monitor = Cm_monitor.Monitor
-module Reference = Cm_monitor.Reference
 module Obs_cache = Cm_monitor.Obs_cache
 module Outcome = Cm_monitor.Outcome
 module Jmonitor = Cm_journal.Jmonitor
@@ -663,8 +662,7 @@ let run_reference ~cross ~mode ?faults trace =
   let* rctx =
     setup_or "reference" (Scenario.setup_reference ~cross ~mode ?faults ())
   in
-  ignore (Scenario.run_reference rctx trace);
-  Ok (Reference.outcomes rctx.Scenario.reference)
+  Ok (Scenario.run_reference rctx trace)
 
 (* Fault-free, outcomes must agree with the reference's exchange by
    exchange, with no normalization.  Under chaos a verdict may only
@@ -698,8 +696,7 @@ let judge prod what ~reference outcomes =
 let run_production ~cross ~mode ?faults prod trace =
   let run setup =
     let* ctx = setup_or "production" setup in
-    ignore (Scenario.run_trace ctx trace);
-    Ok (Monitor.outcomes ctx.Scenario.monitor)
+    Ok (Scenario.run_trace ctx trace)
   in
   let setup = if cross then Scenario.setup_cross else Scenario.setup in
   match prod with
@@ -713,15 +710,14 @@ let run_production ~cross ~mode ?faults prod trace =
     let* jctx =
       setup_or "journaled" (Scenario.setup_journaled ~cross ~mode ?faults ())
     in
-    ignore (Scenario.jrun_trace jctx trace);
+    let outcomes = Scenario.jrun_trace jctx trace in
     Jmonitor.sync jctx.Scenario.jmon;
     let events = Scenario.journal_events jctx in
     let recorded = Jmonitor.journaled_verdict_lines events in
     let* replayed =
       setup_or "journal replay" (Scenario.replay_reference ~cross ~mode events)
     in
-    if replayed = recorded then
-      Ok (Monitor.outcomes (Jmonitor.monitor jctx.Scenario.jmon))
+    if replayed = recorded then Ok outcomes
     else
       Error
         ("journal replay through the reference diverges at "

@@ -212,10 +212,9 @@ let of_line line =
 (* Scripted traces                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The §VI-D validation workload (see Scenario.standard's original
-   narration): a volume lifecycle driven to the quota boundary with
-   denied escalations interleaved.  Seed-independent by design — it is
-   a script, not a distribution. *)
+(* The §VI-D validation workload: a volume lifecycle driven to the
+   quota boundary with denied escalations interleaved.
+   Seed-independent by design — it is a script, not a distribution. *)
 let standard_trace =
   [ (* 1. admin creates a volume *)
     { actor = Admin;

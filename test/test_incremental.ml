@@ -30,7 +30,7 @@ let sync _ = true
 (* ---- delta computation ---- *)
 
 let test_refresh_counts_changes () =
-  let plan = Compile.plan ~memoize:true () in
+  let plan = Compile.plan () in
   let _ta = Compile.compile_tracked plan (parse "a > 1") in
   let _tb = Compile.compile_tracked plan (parse "b > 1") in
   let memo = Compile.make_memo plan in
@@ -43,7 +43,7 @@ let test_refresh_counts_changes () =
   Alcotest.(check int) "one mutated root, one changed slot" 1 changed
 
 let test_refresh_epoch_stable_when_unchanged () =
-  let plan = Compile.plan ~memoize:true () in
+  let plan = Compile.plan () in
   let _t = Compile.compile_tracked plan (parse "a > 1") in
   let memo = Compile.make_memo plan in
   let frame = Compile.memo_frame plan memo in
@@ -56,7 +56,7 @@ let test_refresh_epoch_stable_when_unchanged () =
     (Compile.epoch memo)
 
 let test_refresh_sync_skips_roots () =
-  let plan = Compile.plan ~memoize:true () in
+  let plan = Compile.plan () in
   let _ta = Compile.compile_tracked plan (parse "a > 1") in
   let _tb = Compile.compile_tracked plan (parse "b > 1") in
   let memo = Compile.make_memo plan in
@@ -72,7 +72,7 @@ let test_refresh_sync_skips_roots () =
 (* ---- epoch invalidation ---- *)
 
 let test_change_invalidates_dependents_only () =
-  let plan = Compile.plan ~memoize:true () in
+  let plan = Compile.plan () in
   let ta = Compile.compile_tracked plan (parse "a > 1") in
   let tb = Compile.compile_tracked plan (parse "b > 1") in
   let memo = Compile.make_memo plan in
@@ -93,7 +93,7 @@ let test_change_invalidates_dependents_only () =
     (Value.truth (Compile.cached_value memo tb) = Value.True)
 
 let test_replay_equals_reevaluation () =
-  let plan = Compile.plan ~memoize:true () in
+  let plan = Compile.plan () in
   let t = Compile.compile_tracked plan (parse "a > 1 and b > 1") in
   let memo = Compile.make_memo plan in
   let frame = Compile.memo_frame plan memo in
@@ -129,7 +129,7 @@ let test_strict_disjunction_equivalence () =
     (fun a ->
       List.iter
         (fun b ->
-          let plan = Compile.plan ~memoize:true () in
+          let plan = Compile.plan () in
           let strict =
             Compile.strict_disjunction plan
               [ Compile.compile_tracked plan (parse "a > 1");
@@ -154,7 +154,7 @@ let test_strict_disjunction_stamps_all () =
   (* The point of the strict fold: even when the first disjunct already
      decides the verdict, the second one's memo node gets stamped, so a
      later check of the same observation replays it. *)
-  let plan = Compile.plan ~memoize:true () in
+  let plan = Compile.plan () in
   let ta = Compile.compile_tracked plan (parse "a > 1") in
   let tb = Compile.compile_tracked plan (parse "b > 1") in
   let strict = Compile.strict_disjunction plan [ ta; tb ] in
@@ -168,7 +168,7 @@ let test_strict_disjunction_stamps_all () =
     (Compile.cached memo tb)
 
 let test_strict_disjunction_edges () =
-  let plan = Compile.plan ~memoize:true () in
+  let plan = Compile.plan () in
   let empty = Compile.strict_disjunction plan [] in
   let memo = Compile.make_memo plan in
   let frame = Compile.memo_frame plan memo in
@@ -200,27 +200,27 @@ let outcome_key (o : Outcome.t) =
     (Outcome.conformance_to_string o.Outcome.conformance)
     (String.concat "," o.Outcome.covered_requirements)
 
+(* The monitor and the standard trace's outcomes. *)
 let run_standard ?faults () =
   match Scenario.setup ?faults () with
   | Error msgs -> Alcotest.fail (String.concat "; " msgs)
   | Ok ctx ->
-    Scenario.standard ctx;
-    ctx
+    (ctx, Scenario.run_trace ctx Cm_workload.Workload.standard_trace)
 
 let run_reference ?faults () =
   match Scenario.setup_reference ?faults () with
   | Error msgs -> Alcotest.fail (String.concat "; " msgs)
   | Ok rctx ->
-    ignore (Scenario.run_reference rctx Cm_workload.Workload.standard_trace);
-    rctx.Scenario.reference
+    ( rctx.Scenario.reference,
+      Scenario.run_reference rctx Cm_workload.Workload.standard_trace )
 
 let test_modes_agree_on_standard_workload () =
-  let reference = run_reference () in
-  let ctx = run_standard () in
+  let reference, reference_outcomes = run_reference () in
+  let ctx, outcomes = run_standard () in
   Alcotest.(check (list string))
     "production outcomes identical to the reference's"
-    (List.map outcome_key (Cm_monitor.Reference.outcomes reference))
-    (List.map outcome_key (Monitor.outcomes ctx.Scenario.monitor));
+    (List.map outcome_key reference_outcomes)
+    (List.map outcome_key outcomes);
   let full = Cm_monitor.Reference.evals reference in
   let inc = Monitor.eval_stats ctx.Scenario.monitor in
   Alcotest.(check bool)
@@ -245,12 +245,8 @@ let test_kill_matrix_identical () =
   List.iter
     (fun (mutant : Cm_mutation.Mutant.t) ->
       let faults = mutant.Cm_mutation.Mutant.faults in
-      let full =
-        killed (Cm_monitor.Reference.outcomes (run_reference ~faults ()))
-      in
-      let inc =
-        killed (Monitor.outcomes (run_standard ~faults ()).Scenario.monitor)
-      in
+      let full = killed (snd (run_reference ~faults ())) in
+      let inc = killed (snd (run_standard ~faults ())) in
       Alcotest.(check bool)
         (mutant.Cm_mutation.Mutant.name ^ " killed by the reference")
         true full;

@@ -314,7 +314,41 @@ let torn_tests =
                     (Printf.sprintf "cut %d: seq %d verbatim" n v.Event.v_seq)
                     line (Event.verdict_line v))
             recovered
-        done)
+        done;
+        (* A request id handled twice answers with its later verdict,
+           live and once recovery has rebuilt the lookup from the
+           journal. *)
+        let jm = ctx.Scenario.jmon in
+        let twice =
+          Cm_http.Request.make
+            ~headers:
+              (Cm_http.Headers.of_list [ (Jmonitor.rid_header, "twice") ])
+            Cm_http.Meth.GET "/v3/myProject/volumes"
+          |> Cm_http.Request.with_auth_token
+               (List.assoc "alice" ctx.Scenario.jtokens)
+        in
+        ignore (Jmonitor.handle jm twice);
+        ignore (Jmonitor.handle jm twice);
+        let seqs =
+          List.filter_map
+            (fun (v : Event.verdict_record) ->
+              if v.Event.v_rid = "twice" then Some v.Event.v_seq else None)
+            (Jmonitor.verdicts jm)
+        in
+        let latest jm =
+          Option.map
+            (fun v -> v.Event.v_seq)
+            (Jmonitor.verdict_for_rid jm "twice")
+        in
+        Alcotest.(check int) "both verdicts journaled" 2 (List.length seqs);
+        Alcotest.(check (option int)) "later verdict, live"
+          (Some (List.nth seqs 1)) (latest jm);
+        Jmonitor.sync jm;
+        (match Jmonitor.recover (Jmonitor.device jm) ctx.Scenario.jmake with
+         | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+         | Ok (recovered, _) ->
+           Alcotest.(check (option int)) "later verdict after recovery"
+             (Some (List.nth seqs 1)) (latest recovered)))
   ]
 
 (* ---- crash-point injection ---- *)

@@ -279,13 +279,14 @@ let reporting_tests =
           (List.assoc_opt "1.4" coverage));
     Alcotest.test_case "summary and render" `Quick (fun () ->
         let fx = fixture () in
-        ignore
-          (run fx fx.alice Meth.POST "/v3/myProject/volumes"
-             ~body:(volume_body "v") ());
-        ignore
-          (run fx fx.carol Meth.POST "/v3/myProject/volumes"
-             ~body:(volume_body "x") ());
-        let summary = Report.summarize (Monitor.outcomes fx.monitor) in
+        let outcomes =
+          [ run fx fx.alice Meth.POST "/v3/myProject/volumes"
+              ~body:(volume_body "v") ();
+            run fx fx.carol Meth.POST "/v3/myProject/volumes"
+              ~body:(volume_body "x") ()
+          ]
+        in
+        let summary = Report.summarize outcomes in
         Alcotest.(check int) "total" 2 summary.Report.total;
         Alcotest.(check int) "conform" 1 summary.Report.conform;
         Alcotest.(check int) "denied" 1 summary.Report.denied;
@@ -297,12 +298,13 @@ let reporting_tests =
           (Astring_contains.contains rendered "NOT COVERED"));
     Alcotest.test_case "summary exports to JSON" `Quick (fun () ->
         let fx = fixture () in
-        ignore
-          (run fx fx.alice Meth.POST "/v3/myProject/volumes"
-             ~body:(volume_body "v") ());
+        let outcome =
+          run fx fx.alice Meth.POST "/v3/myProject/volumes"
+            ~body:(volume_body "v") ()
+        in
         let json =
           Report.to_json
-            (Report.summarize (Monitor.outcomes fx.monitor))
+            (Report.summarize [ outcome ])
             ~coverage:(Monitor.coverage fx.monitor)
         in
         Alcotest.(check (option int)) "total" (Some 1)
@@ -316,11 +318,17 @@ let reporting_tests =
         Alcotest.(check bool) "serializable" true
           (Result.is_ok
              (Cm_json.Parser.parse (Cm_json.Printer.to_string json))));
-    Alcotest.test_case "reset_log clears outcomes" `Quick (fun () ->
+    Alcotest.test_case "reset_log zeroes coverage" `Quick (fun () ->
         let fx = fixture () in
         ignore (run fx fx.bob Meth.GET "/v3/myProject/volumes" ());
+        let ids = List.map fst (Monitor.coverage fx.monitor) in
+        Alcotest.(check bool) "exercised" true
+          (List.exists (fun (_, n) -> n > 0) (Monitor.coverage fx.monitor));
         Monitor.reset_log fx.monitor;
-        Alcotest.(check int) "empty" 0 (List.length (Monitor.outcomes fx.monitor)))
+        Alcotest.(check (list (pair string int)))
+          "every requirement back to 0"
+          (List.map (fun id -> (id, 0)) ids)
+          (Monitor.coverage fx.monitor))
   ]
 
 let composition_tests =
@@ -749,8 +757,9 @@ let trace_scenario ~cross ~mode faults () =
   match setup ~mode ~faults () with
   | Error msgs -> failwith (String.concat "; " msgs)
   | Ok ctx ->
-    if cross then Scenario.cross ctx else Scenario.standard ctx;
-    Monitor.outcomes ctx.Scenario.monitor
+    Scenario.run_trace ctx
+      (if cross then Cm_workload.Workload.cross_trace
+       else Cm_workload.Workload.standard_trace)
 
 type step = {
   user : string;
@@ -1175,6 +1184,54 @@ let exchange_pin_tests =
             all_conformance_tags)
     ]
 
+(* The monitor holds no per-exchange state: under reads whose answers
+   do not grow, its live heap stays flat however much traffic it
+   serves.  The caller drops every outcome. *)
+let memory_tests =
+  [ Alcotest.test_case "monitor memory does not grow with traffic" `Quick
+      (fun () ->
+        let ctx =
+          match
+            Scenario.setup_cross ~mode:Monitor.Enforce
+              ~cache:Cm_monitor.Obs_cache.Cross_request ()
+          with
+          | Ok ctx -> ctx
+          | Error msgs -> failwith (String.concat "; " msgs)
+        in
+        let reads =
+          [| volumes; "/v3/myProject/volumes/vol-ghost";
+             "/v3/myProject/servers"
+          |]
+        in
+        let serve n =
+          for i = 1 to n do
+            ignore
+              (Scenario.request ctx ~user:"alice" Meth.GET
+                 reads.(i mod Array.length reads) ())
+          done
+        in
+        let live_bytes () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+        in
+        let requests = 8_000 in
+        serve 2_000;
+        let before = live_bytes () in
+        serve requests;
+        let after = live_bytes () in
+        (* one more request keeps the monitor reachable past the second
+           reading, so the collector cannot free it, and whatever it
+           holds, before that reading *)
+        serve 1;
+        let per_request =
+          float_of_int (after - before) /. float_of_int requests
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "live heap growth %.1f B per request < 64"
+             per_request)
+          true (per_request < 64.))
+  ]
+
 let () =
   Alcotest.run "cm_monitor"
     [ ("observer", observer_tests);
@@ -1186,5 +1243,6 @@ let () =
       ("audit", audit_tests);
       ("dispatch", dispatch_tests);
       ("reference", reference_tests);
-      ("exchanges", exchange_pin_tests)
+      ("exchanges", exchange_pin_tests);
+      ("memory", memory_tests)
     ]

@@ -34,7 +34,8 @@ let baseline_tests =
         match Scenario.setup () with
         | Error msgs -> Alcotest.fail (String.concat "; " msgs)
         | Ok ctx ->
-          Scenario.standard ctx;
+          ignore
+            (Scenario.run_trace ctx Cm_workload.Workload.standard_trace);
           let coverage =
             Cm_monitor.Monitor.coverage ctx.Scenario.monitor
           in
@@ -133,8 +134,9 @@ let oracle_independence_tests =
            with
            | Error msgs -> Alcotest.fail (String.concat "; " msgs)
            | Ok ctx ->
-             Scenario.standard ctx;
-             let outcomes = Cm_monitor.Monitor.outcomes ctx.Scenario.monitor in
+             let outcomes =
+               Scenario.run_trace ctx Cm_workload.Workload.standard_trace
+             in
              (* No security violation can be *observed* because the
                 monitor blocks the forbidden calls before the cloud. *)
              Alcotest.(check bool) "no unauthorized-allowed observed" true

@@ -299,8 +299,15 @@ let mix_verdicts ~projects trace_for domains =
           Outcome.conformance_to_string o.Outcome.conformance)
         arr
     in
+    (* a shard serves its requests in arrival order *)
+    let by_shard = Array.make projects [] in
+    List.iteri
+      (fun i req ->
+        let s = Cm_monitor.Shard.shard_of pool req in
+        by_shard.(s) <- outcomes.(i) :: by_shard.(s))
+      reqs;
     ( names (Array.to_list outcomes),
-      Array.map names (Cm_monitor.Shard.outcomes_by_shard pool) )
+      Array.map (fun o -> names (List.rev o)) by_shard )
 
 let check_mix_deterministic name trace_for =
   let runs =
@@ -654,17 +661,15 @@ let conformances outcomes =
 let reference_outcomes ?faults () =
   match Scenario.setup_reference ?faults () with
   | Error msgs -> Alcotest.fail (String.concat "; " msgs)
-  | Ok rctx ->
-    ignore (Scenario.run_reference rctx Cm_workload.Workload.standard_trace);
-    Cm_monitor.Reference.outcomes rctx.Scenario.reference
+  | Ok rctx -> Scenario.run_reference rctx Cm_workload.Workload.standard_trace
 
 let test_cache_scope_equivalence () =
   let verdicts cache =
     match Scenario.setup ~cache () with
     | Error msgs -> Alcotest.fail (String.concat "; " msgs)
     | Ok ctx ->
-      Scenario.standard ctx;
-      conformances (Monitor.outcomes ctx.Scenario.monitor)
+      conformances
+        (Scenario.run_trace ctx Cm_workload.Workload.standard_trace)
   in
   let reference = conformances (reference_outcomes ()) in
   Alcotest.(check bool) "per-request cache preserves verdicts" true
@@ -696,9 +701,7 @@ let test_cache_under_stale_chaos () =
             ~resilience:Campaign.chaos_policy ~cache:Obs_cache.Cross_request ()
         with
         | Error msgs -> Alcotest.fail (String.concat "; " msgs)
-        | Ok ctx ->
-          Scenario.standard ctx;
-          Monitor.outcomes ctx.Scenario.monitor
+        | Ok ctx -> Scenario.run_trace ctx Cm_workload.Workload.standard_trace
       in
       let comparable, flips, _ =
         Campaign.compare_outcomes (reference_outcomes ~faults ()) cached

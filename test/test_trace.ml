@@ -8,9 +8,7 @@ module Mutant = Cm_mutation.Mutant
 let outcomes_of faults =
   match Scenario.setup ~faults () with
   | Error msgs -> failwith (String.concat "; " msgs)
-  | Ok ctx ->
-    Scenario.standard ctx;
-    Cm_monitor.Monitor.outcomes ctx.Scenario.monitor
+  | Ok ctx -> Scenario.run_trace ctx Cm_workload.Workload.standard_trace
 
 let trace_tests =
   [ Alcotest.test_case "jsonl round-trip preserves the analyzed fields" `Quick

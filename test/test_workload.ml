@@ -23,22 +23,13 @@ let conformance_strings =
   List.map (fun (o : Outcome.t) ->
       Outcome.conformance_to_string o.Outcome.conformance)
 
-let conformances ctx =
-  conformance_strings (Monitor.outcomes ctx.Scenario.monitor)
-
 (* The cross workload through the production monitor and through the
    reference monitor, on clouds with the same faults. *)
 let production_and_reference ?faults () =
   let ctx = require_ctx (Scenario.setup_cross ?faults ()) in
-  Scenario.cross ctx;
   let rctx = require_ctx (Scenario.setup_reference ~cross:true ?faults ()) in
-  ignore (Scenario.run_reference rctx Workload.cross_trace);
-  ( conformances ctx,
-    conformance_strings (Cm_monitor.Reference.outcomes rctx.Scenario.reference)
-  )
-
-let violations ctx =
-  Cm_monitor.Report.violations (Monitor.outcomes ctx.Scenario.monitor)
+  ( conformance_strings (Scenario.run_trace ctx Workload.cross_trace),
+    conformance_strings (Scenario.run_reference rctx Workload.cross_trace) )
 
 (* ---- the determinism contract ---- *)
 
@@ -159,7 +150,7 @@ let baseline_tests =
     Alcotest.test_case "cross baseline covers the 2.x and 3.x requirements"
       `Quick (fun () ->
         let ctx = require_ctx (Scenario.setup_cross ()) in
-        Scenario.cross ctx;
+        ignore (Scenario.run_trace ctx Workload.cross_trace);
         let coverage = Monitor.coverage ctx.Scenario.monitor in
         List.iter
           (fun req_id ->
@@ -174,16 +165,16 @@ let baseline_tests =
         List.iter
           (fun (mix : Workload.mix) ->
             let ctx = require_ctx (Scenario.setup_cross ()) in
-            let issued =
+            let outcomes =
               Scenario.run_trace ctx (mix.Workload.compile ~seed:7)
             in
             Alcotest.(check bool)
               (mix.Workload.mix_name ^ " issued requests")
-              true (issued > 0);
+              true (outcomes <> []);
             Alcotest.(check int)
               (mix.Workload.mix_name ^ " violation-free")
               0
-              (List.length (violations ctx)))
+              (List.length (Cm_monitor.Report.violations outcomes)))
           [ Workload.read_heavy; Workload.churn_heavy; Workload.adversarial ])
   ]
 
