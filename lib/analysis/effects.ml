@@ -110,11 +110,12 @@ let transition_writes behavior (tr : BM.transition) =
 (* ---- per-trigger events ---- *)
 
 (* A trigger's event keys on the tenant iff its URI path passes through
-   the project item — i.e. some derived template for the resource binds
-   the project id parameter.  Resources outside the derived surface
-   (and the identity pseudo-event) are conservatively cross-shard. *)
-let tenant_keyed entries resource =
-  let param = Paths.id_param "project" in
+   the tenant context's item — i.e. some derived template for the
+   resource binds the tenant parameter.  Resources outside the derived
+   surface (and the identity pseudo-event) are conservatively
+   cross-shard. *)
+let tenant_keyed model entries resource =
+  let param = Paths.id_param (Paths.context model) in
   let wanted = String.lowercase_ascii resource in
   List.exists
     (fun (e : Paths.entry) ->
@@ -144,7 +145,8 @@ let events (input : Input.t) =
       Hashtbl.fold
         (fun trigger writes acc ->
           { ev_trigger = trigger;
-            ev_tenant_keyed = tenant_keyed entries trigger.BM.resource;
+            ev_tenant_keyed =
+              tenant_keyed input.resources entries trigger.BM.resource;
             ev_identity = false;
             ev_writes = writes
           }

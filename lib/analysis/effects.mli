@@ -18,8 +18,9 @@
 type event = {
   ev_trigger : Cm_uml.Behavior_model.trigger;
   ev_tenant_keyed : bool;
-      (** some derived URI template for the resource binds the project
-          id parameter — the event is addressed to one tenant *)
+      (** some derived URI template for the resource binds the tenant
+          parameter ({!tenant_keyed}) — the event is addressed to one
+          tenant *)
   ev_identity : bool;  (** the token-revocation pseudo-event *)
   ev_writes : Cm_ocl.Footprint.t;
 }
@@ -56,7 +57,12 @@ val footprints_interfere : Cm_ocl.Footprint.t -> Cm_ocl.Footprint.t -> bool
 (** [footprints_interfere reads writes]: do they meet on some root at
     field granularity ([All] meets anything on the same root)? *)
 
-val tenant_keyed : Cm_uml.Paths.entry list -> string -> bool
+val tenant_keyed :
+  Cm_uml.Resource_model.t -> Cm_uml.Paths.entry list -> string -> bool
+(** [tenant_keyed model entries resource]: does some entry for the
+    resource bind the model's tenant parameter, the {!Cm_uml.Paths.id_param}
+    of {!Cm_uml.Paths.context}?  [entries] is the model's derived URI
+    table. *)
 
 val compare_trigger :
   Cm_uml.Behavior_model.trigger -> Cm_uml.Behavior_model.trigger -> int

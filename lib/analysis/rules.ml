@@ -395,13 +395,8 @@ let footprint_blind_spots (input : input) =
 
 (* ---- the registry ---- *)
 
-let analyze ?(include_validate = true) ?(waivers = []) ?visibility
-    (input : input) =
-  let validate =
-    if include_validate then
-      Cm_uml.Validate.all input.resources [ input.behavior ]
-    else []
-  in
+let analyze ?visibility (input : input) =
+  let validate = Cm_uml.Validate.all input.resources [ input.behavior ] in
   let an001, bad_states = unsat_invariants input in
   let an002, dead = dead_transitions input ~bad_states in
   let an003 = vacuous_posts input in
@@ -410,6 +405,5 @@ let analyze ?(include_validate = true) ?(waivers = []) ?visibility
   let an009 = footprint_blind_spots input in
   let monitorability = Monitorability.findings ?visibility input in
   let interference = Interference.findings input in
-  Lint.apply_waivers waivers
-    (validate @ an001 @ an002 @ an003 @ an004 @ rbac @ an009 @ monitorability
-   @ interference)
+  validate @ an001 @ an002 @ an003 @ an004 @ rbac @ an009 @ monitorability
+  @ interference

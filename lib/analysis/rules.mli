@@ -57,14 +57,9 @@ val full_catalogue : Cm_lint.Lint.rule list
     `cmonitor analyze` can emit. *)
 
 val analyze :
-  ?include_validate:bool ->
-  ?waivers:Cm_lint.Lint.waiver list ->
-  ?visibility:Monitorability.visibility ->
-  input ->
-  Cm_lint.Lint.finding list
-(** Run every rule.  [include_validate] (default [true]) prepends the
-    {!Cm_uml.Validate} well-formedness findings so one report covers
-    both layers; waivers demote accepted findings to Info.
+  ?visibility:Monitorability.visibility -> input -> Cm_lint.Lint.finding list
+(** Run every rule, after the {!Cm_uml.Validate} well-formedness
+    findings so one report covers both layers.
     [visibility] (default {!Monitorability.default_visibility}, the
     shipped observer) parameterises the AN010–AN012 monitorability
     pass. *)

@@ -1,6 +1,6 @@
 type t = { mutable now_ms : int }
 
-let create ?(now_ms = 0) () = { now_ms }
+let create () = { now_ms = 0 }
 let now t = t.now_ms
 let advance t ms = if ms > 0 then t.now_ms <- t.now_ms + ms
 

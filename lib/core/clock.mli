@@ -10,8 +10,8 @@
 
 type t
 
-val create : ?now_ms:int -> unit -> t
-(** A fresh clock, at [now_ms] (default 0). *)
+val create : unit -> t
+(** A fresh clock, at 0. *)
 
 val now : t -> int
 (** Current virtual time in ms. *)

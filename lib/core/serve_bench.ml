@@ -330,33 +330,6 @@ let run_get_locks spec =
     let locks = Cm_core.Lockstat.total_acquisitions () - locks0 in
     Ok (float_of_int locks /. float_of_int (max 1 (List.length reqs)))
 
-(* Arrival-order verdicts plus per-shard verdict sequences at a given
-   domain count — the raw material of the determinism tests. *)
-let verdict_run spec ~domains =
-  let world = setup spec in
-  let reqs = workload spec world in
-  match make_pool ~shards:spec.projects world (Cloud.handle world.cloud) with
-  | Error msgs -> Error msgs
-  | Ok pool ->
-    let outcomes = Shard.handle_all ~domains pool reqs in
-    let names arr =
-      List.map
-        (fun (o : Outcome.t) ->
-          Outcome.conformance_to_string o.Outcome.conformance)
-        arr
-    in
-    (* Each shard serves its requests in arrival order, so its sequence
-       is the arrival-order result grouped by shard. *)
-    let by_shard = Array.make (Shard.shards pool) [] in
-    List.iteri
-      (fun i req ->
-        let s = Shard.shard_of pool req in
-        by_shard.(s) <- outcomes.(i) :: by_shard.(s))
-      reqs;
-    Ok
-      ( names (Array.to_list outcomes),
-        Array.map (fun o -> names (List.rev o)) by_shard )
-
 let run_handle_ns spec =
   let world = setup spec in
   let reqs = workload spec world in

@@ -161,14 +161,6 @@ val measure_hit : ?checks:int -> unit -> float * float
     paper's DELETE(volume) contract against an unchanged observed
     state. *)
 
-val verdict_run :
-  spec ->
-  domains:int ->
-  (string list * string list array, string list) result
-(** Fresh world, one serving pass: the conformance names in arrival
-    order plus each shard's conformance sequence — the determinism
-    tests assert both are identical at every domain count. *)
-
 val render : report -> string
 
 val to_json : report -> Cm_json.Json.t

@@ -3,12 +3,14 @@ type t = {
   mutable durable : int;
   prng : Cm_core.Prng.t;
   clock : Cm_core.Clock.t;
-  sync_latency_ms : int;
   mutable syncs : int;
   mutable crashes : int;
 }
 
-let create ?(sync_latency_ms = 1) ?(contents = "") ~clock ~seed () =
+(* Virtual milliseconds one effective sync costs. *)
+let sync_latency_ms = 1
+
+let create ?(contents = "") ~clock ~seed () =
   let buf = Buffer.create (max 4096 (String.length contents)) in
   Buffer.add_string buf contents;
   {
@@ -16,7 +18,6 @@ let create ?(sync_latency_ms = 1) ?(contents = "") ~clock ~seed () =
     durable = String.length contents;
     prng = Cm_core.Prng.of_seed seed;
     clock;
-    sync_latency_ms;
     syncs = 0;
     crashes = 0;
   }
@@ -27,7 +28,7 @@ let durable_size t = t.durable
 
 let sync t =
   if Buffer.length t.buf > t.durable then begin
-    Cm_core.Clock.advance t.clock t.sync_latency_ms;
+    Cm_core.Clock.advance t.clock sync_latency_ms;
     t.syncs <- t.syncs + 1;
     t.durable <- Buffer.length t.buf
   end

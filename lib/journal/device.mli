@@ -15,14 +15,13 @@
 type t
 
 val create :
-  ?sync_latency_ms:int ->
   ?contents:string ->
   clock:Cm_core.Clock.t ->
   seed:int ->
   unit ->
   t
-(** A fresh device.  [sync_latency_ms] (default 1) is charged to
-    [clock] on every effective {!sync}.  [contents] mounts an existing
+(** A fresh device.  Every effective {!sync} charges 1 ms to
+    [clock].  [contents] mounts an existing
     image (counted as durable) — the torn-tail tests use it to open
     the same recorded journal cut at every byte offset. *)
 

@@ -1,8 +1,7 @@
 (** Decoder combinators: typed extraction from JSON with error context.
 
-    Used by the policy-file loaders and the simulated services to turn
-    request bodies into typed values with precise error messages (the
-    monitor reports {e why} a body was malformed, not just that it was). *)
+    Turns a JSON document into a typed value, or into an error message
+    that says where in the document decoding failed and why. *)
 
 type 'a t
 (** A decoder producing ['a] or an error message with a path context. *)

@@ -65,8 +65,29 @@ let default_config ?(mode = Oracle) ?(stability_check = false) ?resilience
     journal_pre; journal_barrier; crash
   }
 
+(* What a configuration determines, derived once by [create] and shared
+   by every replica [replicate] makes.  Nothing writes it after
+   [create], so replicas serving on other domains and the shard router
+   read it without a lock. *)
+type derivation = {
+  config : config;  (* its models passed validation *)
+  entries : Cm_uml.Paths.entry list;
+  dispatch : (int, Cm_uml.Paths.entry list) Hashtbl.t;
+      (* URI entries bucketed by segment count, each bucket presorted by
+         specificity (ties keep derivation order), so classification is
+         one bucket scan instead of match-all + sort *)
+  tenant_param : string;  (* the tenant context's id parameter *)
+  contracts : Contract.t list;
+  write_templates :
+    (Behavior_model.trigger * Cm_http.Uri_template.t list) list;
+      (* per trigger: URI templates locating every piece of state its
+         write effect covers — expanded against the request's bindings
+         they become the cache-invalidation scopes *)
+}
+
+(* One replica: the derivation plus everything written at run time. *)
 type t = {
-  config : config;
+  derived : derivation;
   backend : Observer.backend;  (* the raw transport *)
   resilient : Resilience.t option;
   unobservable : (string * string) list ref;
@@ -75,35 +96,22 @@ type t = {
   mutable forward_seen : bool;
       (* whether the current [handle] already reached the backend — read
          by exception containment to say if the request may have run *)
-  entries : Cm_uml.Paths.entry list;
-  prepared : (Behavior_model.trigger * Runtime.prepared) list;
-  (* Request-path dispatch tables, built once in [create]:
-     - [dispatch] buckets URI entries by segment count, each bucket
-       presorted by specificity (ties keep derivation order), so
-       classification is one bucket scan instead of match-all + sort;
-     - [by_trigger] replaces the linear scan over prepared contracts. *)
-  dispatch : (int, Cm_uml.Paths.entry list) Hashtbl.t;
   by_trigger : (Behavior_model.trigger, Runtime.prepared) Hashtbl.t;
-  write_templates :
-    (Behavior_model.trigger * Cm_http.Uri_template.t list) list;
-      (* per trigger: URI templates locating every piece of state its
-         write effect covers — expanded against the request's bindings
-         they become the cache-invalidation scopes *)
+      (* the prepared contracts, with their memo frames *)
   observer_base : Observer.t;
-      (* path entries derived once; per request this is re-targeted with
-         [with_project] (a cheap record copy) instead of re-deriving *)
+      (* per request this is re-targeted with [with_project] (a cheap
+         record copy) instead of re-deriving *)
   cache : Obs_cache.t;
   coverage : (string, int ref) Hashtbl.t;
       (* per SecReq id of every contract: exchanges that exercised it *)
 }
 
-let contracts t = List.map (fun (_, p) -> Runtime.contract p) t.prepared
-let resilience t = t.resilient
+let contracts t = t.derived.contracts
 let cache_stats t = Some (Obs_cache.stats t.cache)
 
 let eval_stats t =
-  List.fold_left
-    (fun (acc : Runtime.eval_stats) (_, p) ->
+  Hashtbl.fold
+    (fun _ p (acc : Runtime.eval_stats) ->
       let s = Runtime.eval_stats p in
       { Runtime.evals = acc.evals + s.Runtime.evals;
         replays = acc.replays + s.replays;
@@ -112,14 +120,14 @@ let eval_stats t =
         refreshes = acc.refreshes + s.refreshes;
         slots_changed = acc.slots_changed + s.slots_changed
       })
+    t.by_trigger
     { Runtime.evals = 0; replays = 0; node_hits = 0; node_evals = 0;
       refreshes = 0; slots_changed = 0
     }
-    t.prepared
 
 let flush_cache t = Obs_cache.clear t.cache
-let uri_table t = t.entries
-let configuration t = t.config
+let uri_table t = t.derived.entries
+let configuration t = t.derived.config
 let reset_log t = Hashtbl.iter (fun _ count -> count := 0) t.coverage
 
 let coverage t =
@@ -157,130 +165,125 @@ let observation_envelope (req : Request.t) (resp : Response.t) =
      | Some _ | None -> false)
   | _ -> true
 
-let create config backend =
+let ( let* ) = Result.bind
+
+(* Validate the models, derive the URI table, generate and typecheck
+   the contracts, and run the write-effect analysis.  All validation
+   problems are reported together. *)
+let derive config =
   let issues = Cm_uml.Validate.all config.resources [ config.behavior ] in
+  let single r = Result.map_error (fun msg -> [ msg ]) r in
   if issues <> [] then
     Error (List.map (Fmt.str "%a" Cm_lint.Lint.pp_finding) issues)
   else
-    match Cm_uml.Paths.derive config.resources with
-    | Error msg -> Error [ msg ]
-    | Ok entries ->
-      (match Generate.all ?security:config.security config.behavior with
-       | Error msg -> Error [ msg ]
-       | Ok contract_list ->
-         let type_errors =
-           List.concat_map
-             (fun c ->
-               List.map
-                 (Fmt.str "contract %a: %a" Behavior_model.pp_trigger
-                    c.Contract.trigger Cm_ocl.Typecheck.pp_error)
-                 (Generate.typecheck config.resources c))
-             contract_list
-         in
-         if type_errors <> [] then Error type_errors
-         else begin
-           (* The static analysis layer: per-trigger write effects feed
-              the effect-driven cache invalidation.  An underivable
-              table (can't happen past the Paths.derive above, but kept
-              total) degrades to the conservative pre-analysis
-              behaviour: every mutation drops its tenant's scope. *)
-           let analysis_input =
-             { Cm_analysis.Input.resources = config.resources;
-               behavior = config.behavior;
-               security = config.security
-             }
-           in
-           let analysis_events =
-             match Cm_analysis.Effects.events analysis_input with
-             | Ok events -> events
-             | Error _ -> []
-           in
-           let write_templates =
-             List.filter_map
-               (fun (ev : Cm_analysis.Effects.event) ->
-                 if ev.ev_identity then None
-                 else
-                   Some
-                     ( ev.ev_trigger,
-                       List.concat_map
-                         (fun (root, fields) ->
-                           Cm_analysis.Monitorability.state_templates
-                             analysis_input entries root fields)
-                         ev.ev_writes ))
-               analysis_events
-           in
-           let prepared =
-             List.map
-               (fun c ->
-                 (c.Contract.trigger, Runtime.prepare c))
-               contract_list
-           in
-           let coverage = Hashtbl.create 16 in
-           List.iter
-             (fun c ->
-               List.iter
-                 (fun req_id -> Hashtbl.replace coverage req_id (ref 0))
-                 c.Contract.requirements)
-             contract_list;
-           let by_trigger = Hashtbl.create (2 * List.length prepared + 1) in
-           List.iter
-             (fun (trigger, p) ->
-               if not (Hashtbl.mem by_trigger trigger) then
-                 Hashtbl.add by_trigger trigger p)
-             prepared;
-           let resilient =
-             Option.map
-               (fun policy ->
-                 let clock =
-                   match config.clock with
-                   | Some clock -> clock
-                   | None -> Clock.create ()
-                 in
-                 Resilience.create ~validate:observation_envelope policy clock
-                   backend)
-               config.resilience
-           in
-           let unobservable = ref [] in
-           let obs_backend =
-             match resilient with
-             | Some r ->
-               fun req ->
-                 let path = req.Request.path in
-                 (match Resilience.call_verified r req with
-                  | Ok resp ->
-                    unobservable := List.remove_assoc path !unobservable;
-                    resp
-                  | Error failure ->
-                    if not (List.mem_assoc path !unobservable) then
-                      unobservable :=
-                        (path, Resilience.failure_to_string failure)
-                        :: !unobservable;
-                    Resilience.degraded_response failure)
-             | None -> backend
-           in
-           let cache = Obs_cache.create config.cache in
-           let observer_base =
-             Observer.of_entries ~backend:obs_backend
-               ~token:config.service_token ~model:config.resources
-               ~project_id:"" entries
-             |> fun o -> Observer.with_cache o cache
-           in
-           Ok
-             { config;
-               backend;
-               resilient;
-               unobservable;
-               forward_seen = false;
-               entries;
-               prepared;
-               dispatch = dispatch_table entries;
-               by_trigger;
-               write_templates;
-               observer_base;
-               cache;
-               coverage
-             }
-         end)
+    let* entries = single (Cm_uml.Paths.derive config.resources) in
+    let* contracts =
+      single (Generate.all ?security:config.security config.behavior)
+    in
+    let type_errors =
+      List.concat_map
+        (fun c ->
+          List.map
+            (Fmt.str "contract %a: %a" Behavior_model.pp_trigger
+               c.Contract.trigger Cm_ocl.Typecheck.pp_error)
+            (Generate.typecheck config.resources c))
+        contracts
+    in
+    if type_errors <> [] then Error type_errors
+    else
+      (* The static analysis layer: per-trigger write effects feed the
+         effect-driven cache invalidation. *)
+      let analysis_input =
+        { Cm_analysis.Input.resources = config.resources;
+          behavior = config.behavior;
+          security = config.security
+        }
+      in
+      let* events = single (Cm_analysis.Effects.events analysis_input) in
+      let write_templates =
+        List.filter_map
+          (fun (ev : Cm_analysis.Effects.event) ->
+            if ev.ev_identity then None
+            else
+              Some
+                ( ev.ev_trigger,
+                  List.concat_map
+                    (fun (root, fields) ->
+                      Cm_analysis.Monitorability.state_templates
+                        analysis_input entries root fields)
+                    ev.ev_writes ))
+          events
+      in
+      Ok
+        { config;
+          entries;
+          dispatch = dispatch_table entries;
+          tenant_param =
+            Cm_uml.Paths.id_param (Cm_uml.Paths.context config.resources);
+          contracts;
+          write_templates
+        }
+
+let replica derived backend =
+  let config = derived.config in
+  let by_trigger = Hashtbl.create (2 * List.length derived.contracts + 1) in
+  let coverage = Hashtbl.create 16 in
+  List.iter
+    (fun c ->
+      if not (Hashtbl.mem by_trigger c.Contract.trigger) then
+        Hashtbl.add by_trigger c.Contract.trigger (Runtime.prepare c);
+      List.iter
+        (fun req_id -> Hashtbl.replace coverage req_id (ref 0))
+        c.Contract.requirements)
+    derived.contracts;
+  let resilient =
+    Option.map
+      (fun policy ->
+        let clock =
+          match config.clock with Some clock -> clock | None -> Clock.create ()
+        in
+        Resilience.create ~validate:observation_envelope policy clock backend)
+      config.resilience
+  in
+  let unobservable = ref [] in
+  let obs_backend =
+    match resilient with
+    | Some r ->
+      fun req ->
+        let path = req.Request.path in
+        (match Resilience.call_verified r req with
+         | Ok resp ->
+           unobservable := List.remove_assoc path !unobservable;
+           resp
+         | Error failure ->
+           if not (List.mem_assoc path !unobservable) then
+             unobservable :=
+               (path, Resilience.failure_to_string failure) :: !unobservable;
+           Resilience.degraded_response failure)
+    | None -> backend
+  in
+  let cache = Obs_cache.create config.cache in
+  let observer_base =
+    Observer.with_cache
+      (Observer.of_entries ~backend:obs_backend ~token:config.service_token
+         ~model:config.resources ~project_id:"" derived.entries)
+      cache
+  in
+  { derived;
+    backend;
+    resilient;
+    unobservable;
+    forward_seen = false;
+    by_trigger;
+    observer_base;
+    cache;
+    coverage
+  }
+
+let create config backend =
+  Result.map (fun derived -> replica derived backend) (derive config)
+
+let replicate t = replica t.derived t.backend
 
 (* ---- request classification ---- *)
 
@@ -289,7 +292,7 @@ type classified = {
   bindings : (string * string) list;
   trigger : Behavior_model.trigger;
   item : (string * string) option;  (* addressed item: (resource, id) *)
-  request_project : string option;
+  tenant : string option;  (* the tenant parameter's binding *)
 }
 
 (* The resource definition contained in a collection (POST on the
@@ -299,7 +302,7 @@ let contained_item resources collection_name =
   | child :: _ -> Some child.Resource_model.target
   | [] -> None
 
-let trigger_for_resources resources (entry : Cm_uml.Paths.entry) meth =
+let trigger_for t (entry : Cm_uml.Paths.entry) meth =
   let resource =
     if entry.is_item then
       match meth with
@@ -314,22 +317,20 @@ let trigger_for_resources resources (entry : Cm_uml.Paths.entry) meth =
       match meth with
       | Meth.POST ->
         Option.value
-          (contained_item resources entry.resource)
+          (contained_item t.derived.config.resources entry.resource)
           ~default:entry.resource
       | Meth.GET | Meth.PUT | Meth.DELETE | Meth.HEAD | Meth.PATCH
       | Meth.OPTIONS -> entry.resource
   in
   { Behavior_model.meth; resource }
 
-let trigger_for t entry meth =
-  trigger_for_resources t.config.resources entry meth
-
 (* The dispatch table buckets by segment count — a template only ever
    matches paths with its own segment count, so the winning entry (most
    specific match, derivation order breaking ties) is the first match in
    the presorted bucket. *)
-let entry_in_dispatch dispatch segments =
-  match Hashtbl.find_opt dispatch (List.length segments) with
+let match_path t path =
+  let segments = Cm_http.Uri_template.split_path path in
+  match Hashtbl.find_opt t.derived.dispatch (List.length segments) with
   | None -> None
   | Some bucket ->
     List.find_map
@@ -339,70 +340,15 @@ let entry_in_dispatch dispatch segments =
         | None -> None)
       bucket
 
-let entry_for_segments t segments = entry_in_dispatch t.dispatch segments
+let entry_for_path t path = Option.map fst (match_path t path)
 
-(* Request → tenant project, derived from the configuration alone: the
-   shard router partitions by project *before* any monitor instance is
-   involved, so the extraction must not route through (or depend on)
-   shard 0's monitor.  One dispatch table of its own, built once. *)
-let project_extractor config =
-  match Cm_uml.Paths.derive config.resources with
-  | Error msg -> Error [ msg ]
-  | Ok entries ->
-    let dispatch = dispatch_table entries in
-    Ok
-      (fun (req : Request.t) ->
-        match
-          entry_in_dispatch dispatch
-            (Cm_http.Uri_template.split_path req.Request.path)
-        with
-        | None -> None
-        | Some (_, bindings) -> List.assoc_opt "project_id" bindings)
-
-(* Request → tenant-keyedness, derived from the configuration alone
-   (like {!project_extractor}): [true] iff the request classifies to a
-   modelled trigger whose event the analysis proved tenant-keyed.
-   Unclassified requests — token introspections, unmodelled paths — are
-   conservatively cross-shard.  This is what replaces hand-written
-   "drop the revocations" filters in shard-determinism harnesses. *)
-let tenant_keyed_classifier config =
-  match Cm_uml.Paths.derive config.resources with
-  | Error msg -> Error [ msg ]
-  | Ok entries ->
-    let input =
-      { Cm_analysis.Input.resources = config.resources;
-        behavior = config.behavior;
-        security = config.security
-      }
-    in
-    (match Cm_analysis.Effects.events input with
-     | Error msg -> Error [ msg ]
-     | Ok events ->
-       let dispatch = dispatch_table entries in
-       Ok
-         (fun (req : Request.t) ->
-           match
-             entry_in_dispatch dispatch
-               (Cm_http.Uri_template.split_path req.Request.path)
-           with
-           | None -> false
-           | Some (entry, _) ->
-             let trigger =
-               trigger_for_resources config.resources entry req.Request.meth
-             in
-             List.exists
-               (fun (ev : Cm_analysis.Effects.event) ->
-                 Behavior_model.trigger_equal ev.ev_trigger trigger
-                 && ev.ev_tenant_keyed)
-               events))
-
-let entry_for_path t path =
-  Option.map fst (entry_for_segments t (Cm_http.Uri_template.split_path path))
+let tenant_of t (req : Request.t) =
+  match match_path t req.Request.path with
+  | None -> None
+  | Some (_, bindings) -> List.assoc_opt t.derived.tenant_param bindings
 
 let classify t (req : Request.t) =
-  match
-    entry_for_segments t (Cm_http.Uri_template.split_path req.Request.path)
-  with
+  match match_path t req.Request.path with
   | None -> None
   | Some (entry, bindings) ->
     let id_param = Cm_uml.Paths.id_param entry.resource in
@@ -416,7 +362,7 @@ let classify t (req : Request.t) =
                (fun id -> (entry.resource, id))
                (List.assoc_opt id_param bindings)
            else None);
-        request_project = List.assoc_opt "project_id" bindings
+        tenant = List.assoc_opt t.derived.tenant_param bindings
       }
 
 let prepared_for t trigger = Hashtbl.find_opt t.by_trigger trigger
@@ -427,17 +373,15 @@ let contract_for_trigger t trigger =
 (* ---- observation ---- *)
 
 (* One request's observation: the shared observer re-targeted at the
-   request's project, service token and the contract's footprint, with
+   request's tenant, service token and the contract's footprint, with
    the request's user token and body bound in.  Each call reads afresh
    and forgets the previous call's unobservable reads; [~fresh:true]
    also bypasses the observation cache. *)
 let observation t classified prepared (req : Request.t) =
-  let project_id =
-    Option.value ~default:"" classified.request_project
-  in
+  let project_id = Option.value ~default:"" classified.tenant in
   let observer = Observer.with_project t.observer_base ~project_id in
   let observer =
-    match t.config.service_token_for with
+    match t.derived.config.service_token_for with
     | Some resolve ->
       (match resolve project_id with
        | Some token -> Observer.with_token observer ~token
@@ -524,7 +468,7 @@ let envs_equal a b =
 
 let stable_post_verdict t ~observe post_env post_verdict =
   match post_verdict with
-  | Cm_ocl.Eval.Violated when t.config.stability_check ->
+  | Cm_ocl.Eval.Violated when t.derived.config.stability_check ->
     (* [~fresh:true]: the re-observation must reach the cloud, not the
        observation cache, or concurrent interference could be masked by
        replaying our own cached reads. *)
@@ -604,25 +548,20 @@ let expand_scope bindings template =
   | [] -> None
   | segs -> Some ("/" ^ String.concat "/" segs)
 
-let write_scopes t (req : Request.t) =
-  match
-    entry_for_segments t (Cm_http.Uri_template.split_path req.Request.path)
-  with
+let write_scopes t classified =
+  match List.assoc_opt classified.trigger t.derived.write_templates with
   | None -> None
-  | Some (entry, bindings) ->
-    (match
-       List.assoc_opt (trigger_for t entry req.Request.meth) t.write_templates
-     with
-     | None -> None
-     | Some templates ->
-       Some
-         (List.sort_uniq String.compare
-            (List.filter_map (expand_scope bindings) templates)))
+  | Some templates ->
+    Some
+      (List.sort_uniq String.compare
+         (List.filter_map (expand_scope classified.bindings) templates))
 
-let invalidate_after_mutation t (req : Request.t) =
+(* [classified] is the classification the exchange already made, [None]
+   for an unclassified request. *)
+let invalidate_after_mutation t classified (req : Request.t) =
   if not (Meth.is_safe req.Request.meth) then begin
     let paths =
-      match write_scopes t req with
+      match Option.bind classified (write_scopes t) with
       | Some (_ :: _ as scopes) ->
         (* the mutated path itself is always dropped too: an effect can
            under-specify the addressed document even when the analysis
@@ -647,12 +586,12 @@ let invalidate_after_mutation t (req : Request.t) =
     List.iter (Obs_cache.invalidate_overlapping t.cache) paths
   end
 
-let forward t req =
+let forward t classified req =
   (* WAL barrier: before the backend can see the request, the journal
      (when one is attached) must have synced the request record and any
      pre-image appended for it — recovery depends on "forwarded implies
      durably journaled". *)
-  Option.iter (fun barrier -> barrier ()) t.config.journal_barrier;
+  Option.iter (fun barrier -> barrier ()) t.derived.config.journal_barrier;
   let result =
     match t.resilient with
     | None ->
@@ -673,9 +612,9 @@ let forward t req =
   in
   (match result with
   | Delivered _ | Unknown_outcome _ ->
-    Cm_core.Crash.at t.config.crash "monitor.after-forward";
-    invalidate_after_mutation t req;
-    Cm_core.Crash.at t.config.crash "monitor.after-invalidate"
+    Cm_core.Crash.at t.derived.config.crash "monitor.after-forward";
+    invalidate_after_mutation t classified req;
+    Cm_core.Crash.at t.derived.config.crash "monitor.after-invalidate"
   | Not_delivered _ -> ());
   result
 
@@ -684,9 +623,9 @@ let forward t req =
    certainty); [Fail_open_logged] forwards raw — one shot, unmonitored —
    so the cloud stays reachable behind a wedged monitor.  Either way the
    exchange is logged as [Degraded], never as a cloud verdict. *)
-let degrade t req failure =
+let degrade t classified req failure =
   let why = Resilience.failure_to_string failure in
-  match t.config.degradation with
+  match t.derived.config.degradation with
   | Fail_closed ->
     let detail = "fail-closed: " ^ why in
     outcome_base req
@@ -694,16 +633,16 @@ let degrade t req failure =
       None (Outcome.Degraded detail) detail
   | Fail_open_logged ->
     let detail = "fail-open: forwarded unmonitored (" ^ why ^ ")" in
-    Option.iter (fun barrier -> barrier ()) t.config.journal_barrier;
+    Option.iter (fun barrier -> barrier ()) t.derived.config.journal_barrier;
     (match t.backend req with
      | response ->
        t.forward_seen <- true;
-       invalidate_after_mutation t req;
+       invalidate_after_mutation t classified req;
        outcome_base req response (Some response) (Outcome.Degraded detail)
          detail
      | exception exn when Transport.is_failure exn ->
        let detail = detail ^ "; raw forward failed: " ^ Transport.describe exn in
-       invalidate_after_mutation t req;
+       invalidate_after_mutation t classified req;
        outcome_base req
          (Response.error Status.bad_gateway detail)
          None (Outcome.Degraded detail) detail)
@@ -715,9 +654,9 @@ let unknown_hint failure =
 
 (* Forward a request no contract judges; [judge] classifies the cloud's
    answer into a conformance and a detail. *)
-let forward_uncontracted t req judge =
-  match forward t req with
-  | Not_delivered failure -> degrade t req failure
+let forward_uncontracted t classified req judge =
+  match forward t classified req with
+  | Not_delivered failure -> degrade t classified req failure
   | Unknown_outcome failure ->
     let hint = unknown_hint failure in
     outcome_base req
@@ -728,15 +667,15 @@ let forward_uncontracted t req judge =
     outcome_base req response (Some response) conformance detail
 
 let not_monitored t req =
-  forward_uncontracted t req (fun _ ->
+  forward_uncontracted t None req (fun _ ->
       (Outcome.Not_monitored, "no model entry for this URI"))
 
 let no_contract t classified req =
-  match t.config.mode with
+  match t.derived.config.mode with
   | Enforce ->
     let allowed =
       Behavior_model.methods_on classified.trigger.Behavior_model.resource
-        t.config.behavior
+        t.derived.config.behavior
       |> List.map Meth.to_string |> String.concat ", "
     in
     let response =
@@ -747,7 +686,7 @@ let no_contract t classified req =
     outcome_base req response None Outcome.Conform_denied
       "no contract for trigger"
   | Oracle ->
-    forward_uncontracted t req (fun response ->
+    forward_uncontracted t (Some classified) req (fun response ->
         ( (if Response.is_success response then
              Outcome.Functional_wrongly_accepted
            else Outcome.Conform_denied),
@@ -839,8 +778,8 @@ let oracle_judgement req (image : pre_image) cloud_response post =
    the pre-phase — after the effect is applied, re-observed guards
    would lie about the pre-state (a DELETE's item guard is false once
    the item is gone). *)
-let conclude t prepared req ~observe (image : pre_image) =
-  Option.iter (fun sink -> sink image) t.config.journal_pre;
+let conclude t classified prepared req ~observe (image : pre_image) =
+  Option.iter (fun sink -> sink image) t.derived.config.journal_pre;
   let with_pre =
     with_pre_phase prepared ~pre_verdict:image.pi_pre_verdict
       ~covered:image.pi_covered
@@ -867,8 +806,8 @@ let conclude t prepared req ~observe (image : pre_image) =
        else verdict)
       |> unless_unobservable unobservable
   in
-  match forward t req with
-  | Not_delivered failure -> with_pre (degrade t req failure)
+  match forward t (Some classified) req with
+  | Not_delivered failure -> with_pre (degrade t (Some classified) req failure)
   | Unknown_outcome failure ->
     (* The request may or may not have executed.  Re-probe the observed
        state and record how it reconciles with the pre-snapshot, but
@@ -891,7 +830,7 @@ let conclude t prepared req ~observe (image : pre_image) =
       None (Outcome.Undefined hint) (Some post_verdict) detail
   | Delivered cloud_response ->
     let post = observe_post ~stable:true in
-    (match t.config.mode with
+    (match t.derived.config.mode with
      | Enforce ->
        let post_verdict = post () in
        let response, conformance, detail =
@@ -909,7 +848,7 @@ let conclude t prepared req ~observe (image : pre_image) =
 (* The live pre-phase: observe and evaluate the precondition.  Enforce
    blocks a request whose precondition is false or undefined with a 403
    before it reaches the cloud; everything else is concluded. *)
-let monitored t req prepared observe =
+let monitored t req classified prepared observe =
   let pre_obs = Runtime.observe prepared (observe ~fresh:false) in
   let unobservable = unobservable_verdict t "pre-state" in
   let pre_verdict =
@@ -929,7 +868,7 @@ let monitored t req prepared observe =
          (diagnostic Status.forbidden conformance detail)
          None conformance detail)
   in
-  match t.config.mode, pre_verdict with
+  match t.derived.config.mode, pre_verdict with
   | Enforce, Cm_ocl.Eval.Violated ->
     blocked Outcome.Conform_denied
       (match auth_tag auth with
@@ -938,7 +877,7 @@ let monitored t req prepared observe =
   | Enforce, Cm_ocl.Eval.Undefined_verdict hint ->
     blocked (Outcome.Undefined hint) ("precondition undefined: " ^ hint)
   | Enforce, Cm_ocl.Eval.Holds | Oracle, _ ->
-    conclude t prepared req ~observe
+    conclude t classified prepared req ~observe
       { pi_pre_verdict = pre_verdict;
         pi_auth = auth;
         pi_functional = functional;
@@ -956,7 +895,7 @@ let dispatch t req contracted =
     (match prepared_for t classified.trigger with
      | None -> no_contract t classified req
      | Some prepared ->
-       contracted prepared (observation t classified prepared req))
+       contracted classified prepared (observation t classified prepared req))
 
 (* Per-request exception containment.  A transport failure that escapes
    (no resilience layer configured) degrades the exchange; any other
@@ -1011,7 +950,7 @@ let handle t req = contained t req (fun () -> dispatch t req (monitored t req))
    observed truthfully once the effect may have been applied. *)
 let resume t req image =
   contained t req (fun () ->
-      dispatch t req (fun prepared observe ->
-          conclude t prepared req ~observe image))
+      dispatch t req (fun classified prepared observe ->
+          conclude t classified prepared req ~observe image))
 
 let handle_response t req = (handle t req).Outcome.response

@@ -57,8 +57,8 @@ type config = {
   service_token_for : (string -> string option) option;
       (** Per-project service credentials: clouds scope tokens to one
           project, so a monitor serving several tenants resolves the
-          observation token from the classified project id ([None]
-          falls back to [service_token]). *)
+          observation token from the classified tenant id ({!tenant_of};
+          [None] falls back to [service_token]). *)
   resources : Cm_uml.Resource_model.t;
   behavior : Cm_uml.Behavior_model.t;
   security : Cm_contracts.Generate.security option;
@@ -141,14 +141,38 @@ val default_config :
     pruned state is state no contract expression can read; and contracts
     are always checked through staged closures that replay memoized
     verdicts when nothing a check depends on changed
-    ({!Cm_contracts.Runtime}).  The executable semantics all of this is
-    tested against is {!Reference}, which shares none of it. *)
+    ({!Cm_contracts.Runtime}).  Nor is what the models determine: the
+    tenant is the model's context resource ({!Cm_uml.Paths.context}) and
+    its id parameter is the tenant key classification, observation and
+    sharding use; the cache-invalidation scopes of a mutation are its
+    trigger's write effect ({!Cm_analysis.Effects}).  The executable
+    semantics all of this is tested against is {!Reference}, which
+    shares none of it. *)
 
 type t
+(** A monitor replica.  It has two parts:
+    - the configuration's {e derivation}: the validated models, the URI
+      entries and their dispatch table, the tenant parameter, the
+      contracts and the per-trigger write scopes of the effect analysis
+      ({!Cm_analysis.Effects}).  Nothing writes it after {!create}, and
+      every replica {!replicate} makes shares it;
+    - the replica's own run-time state: the prepared contracts with
+      their memo frames, the observation cache, the coverage counters,
+      the resilience layer and the observer. *)
 
 val create : config -> Observer.backend -> (t, string list) result
-(** Validates the models, generates and typechecks the contracts,
-    derives the URI table.  All problems are reported together. *)
+(** Derives the configuration: validates the models, derives the URI
+    table, generates and typechecks the contracts and runs the
+    write-effect analysis.  All validation problems are reported
+    together; a failure of any later step is an [Error] too.  Then
+    builds the first replica over [backend]. *)
+
+val replicate : t -> t
+(** A fresh replica over the same backend, sharing [t]'s derivation:
+    its own prepared contracts, cache, coverage counters, resilience
+    layer and observer, none of [t]'s run-time state.  The shard layer
+    builds its pool this way, so a configuration is derived once
+    however many replicas serve it. *)
 
 val handle : t -> Cm_http.Request.t -> Outcome.t
 (** Monitor one request.  The outcome's [response] is what the caller
@@ -170,10 +194,6 @@ val resume : t -> Cm_http.Request.t -> pre_image -> Outcome.t
     pre-phase.  The outcome counts towards {!coverage} like any other
     exchange. *)
 
-val resilience : t -> Resilience.t option
-(** The live resilience layer (breaker states, per-route metrics), when
-    the configuration enabled one. *)
-
 val cache_stats : t -> Obs_cache.stats option
 (** Hit/miss/invalidation counters of the observation cache.  Always
     [Some]: every monitor has a cache; the [option] stays only because
@@ -188,29 +208,22 @@ val flush_cache : t -> unit
     mutates the cloud without going through {!handle}) must call this
     before the next monitored request under [Cross_request] scope. *)
 
-val project_extractor :
-  config -> (Cm_http.Request.t -> string option, string list) result
-(** A standalone classifier derived from the config's resource model:
-    the project id request classification binds, without needing (or
-    touching) any monitor instance.  The shard layer uses it so request
-    admission never serializes on a replica. *)
-
-val tenant_keyed_classifier :
-  config -> (Cm_http.Request.t -> bool, string list) result
-(** A standalone classifier derived from the config — like
-    {!project_extractor} — answering "is this request's event
-    tenant-keyed?" per the static write-effect analysis
-    ({!Cm_analysis.Effects.events}).  [true] means every shard sees the
-    event the same way no matter the partition; unclassified requests
-    are conservatively [false] (cross-shard).  Tests use it to project a
-    workload onto its shard-closed part without hand-listing the
-    cross-shard operations. *)
+val tenant_of : t -> Cm_http.Request.t -> string option
+(** The tenant id request classification binds: the value of the
+    tenant parameter ({!Cm_uml.Paths.context}'s {!Cm_uml.Paths.id_param},
+    [project_id] on the shipped models) in the matched URI entry;
+    [None] for an unclassified request or one no tenant addresses.
+    Reads only the derivation, which nothing writes after {!create}, so
+    the shard router calls it on replica 0 from the dispatching domain
+    while the replica serves on another. *)
 
 val handle_response : t -> Cm_http.Request.t -> Cm_http.Response.t
 (** [ (handle t req).response ] — lets a monitor instance itself be used
     as a backend (monitors compose). *)
 
 val contracts : t -> Cm_contracts.Contract.t list
+(** The generated contracts: the derivation's, shared by every
+    replica. *)
 
 val uri_table : t -> Cm_uml.Paths.entry list
 (** The derived URI entries the monitor classifies against. *)

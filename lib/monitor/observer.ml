@@ -13,8 +13,8 @@ type t = {
   project_id : string;
   entries : Cm_uml.Paths.entry list;
   entry_index : Cm_uml.Paths.index;
-  context_def : string;  (* the item contained in the root collection *)
-  context_param : string;  (* its id parameter name, e.g. "project_id" *)
+  context_def : string;  (* the tenant context ([Paths.context]) *)
+  context_param : string;  (* its id parameter, the tenant key *)
   footprint : Footprint.t option;
       (* None = observe everything; Some fp = fetch only what fp reads *)
   cache : Obs_cache.t option;
@@ -26,11 +26,7 @@ type t = {
 }
 
 let of_entries ~backend ~token ~model ~project_id entries =
-  let context_def =
-    match RM.outgoing model.RM.root model with
-    | child :: _ -> child.RM.target
-    | [] -> "project"
-  in
+  let context_def = Cm_uml.Paths.context model in
   { backend;
     token;
     model;

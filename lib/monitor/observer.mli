@@ -10,9 +10,11 @@
     exist and how they compose, so the same observer works for any
     service (Cinder volumes, Glance-like images, …):
 
-    - the context resource (the item contained in the root collection,
-      e.g. [project]) is GET and its members become the [project]
-      binding;
+    - the context resource ({!Cm_uml.Paths.context}: the item contained
+      in the root collection, e.g. [project]) is GET and its members
+      become the binding of that name; the observer's [project_id] is
+      the value of the context's id parameter (e.g. [project_id]) in
+      every URI it expands;
     - every collection reachable from it (role [volumes], [images], …)
       is GET and its listing becomes a member of the context binding
       under the role name — a failed listing simply leaves the member
@@ -71,7 +73,7 @@ val of_entries :
   Cm_uml.Paths.entry list ->
   t
 (** Build from already-derived path entries (the monitor derives them
-    once and shares them across requests). *)
+    once per configuration, and every replica's observer shares them). *)
 
 val with_project : t -> project_id:string -> t
 (** Cheap per-request re-targeting; shares entries/index/cache. *)

@@ -106,7 +106,6 @@ type t = {
   clock : Clock.t;
   inner : backend;
   rng : Prng.t;
-  route_key : Request.t -> string;
   validate : Request.t -> Response.t -> bool;
   breakers : (string, breaker) Hashtbl.t;
   metrics : (string, route_counters) Hashtbl.t;
@@ -120,7 +119,7 @@ let next_request_id = Atomic.make 1
 (* Method + first two path segments: one breaker per API route family
    (e.g. "POST /v3/myProject"), so a wedged volume service does not
    short-circuit identity traffic. *)
-let default_route_key (req : Request.t) =
+let route_key (req : Request.t) =
   let segments = Request.path_segments req in
   let prefix =
     match segments with
@@ -130,13 +129,12 @@ let default_route_key (req : Request.t) =
   in
   Meth.to_string req.Request.meth ^ " /" ^ prefix
 
-let create ?(seed = 0xBACC0FF) ?route_key ?(validate = fun _ _ -> true) policy
-    clock inner =
+let create ?(seed = 0xBACC0FF) ?(validate = fun _ _ -> true) policy clock
+    inner =
   { policy;
     clock;
     inner;
     rng = Prng.of_seed seed;
-    route_key = Option.value ~default:default_route_key route_key;
     validate;
     breakers = Hashtbl.create 16;
     metrics = Hashtbl.create 16
@@ -317,7 +315,7 @@ let one_attempt t req =
     Attempt_failed (Transport.describe exn)
 
 let call t req =
-  let route = t.route_key req in
+  let route = route_key req in
   let b = breaker_for t route in
   let m = metrics_for t route in
   Atomic.incr m.c_calls;

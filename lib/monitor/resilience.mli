@@ -71,14 +71,13 @@ type t
 
 val create :
   ?seed:int ->
-  ?route_key:(Cm_http.Request.t -> string) ->
   ?validate:(Cm_http.Request.t -> Cm_http.Response.t -> bool) ->
   policy ->
   Cm_core.Clock.t ->
   backend ->
   t
-(** [route_key] buckets requests for the circuit breaker (default:
-    method + first two path segments).  [validate] rejects corrupt
+(** One circuit breaker per route: method + first two path segments.
+    [validate] rejects corrupt
     responses — a successful attempt whose response fails validation is
     retried like a transport failure. *)
 

@@ -1,45 +1,29 @@
 type t = {
   monitors : Monitor.t array;
-  project_of : Cm_http.Request.t -> string option;
-      (* config-derived, independent of any monitor instance *)
-  tenant_keyed : Cm_http.Request.t -> bool;
-      (* config-derived like [project_of]: does the static write-effect
-         analysis prove the request's event tenant-keyed?  [false] marks
-         traffic whose verdicts may couple shards (identity writes,
-         unmodelled paths). *)
+      (* replica 0 from [Monitor.create], the rest replicated from it:
+         one derivation serves the whole pool *)
   shard_memo : (string, int) Hashtbl.t;
-      (* project id -> shard index.  Admission-side only: partitioning
+      (* tenant id -> shard index.  Admission-side only: partitioning
          and [shard_of] run on the caller's domain before any fan-out,
          so the memo needs no lock. *)
 }
 
 let create ?(shards = 1) config backend =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
-  match
-    (Monitor.project_extractor config, Monitor.tenant_keyed_classifier config)
-  with
-  | (Error _ as e), _ | _, (Error _ as e) -> e
-  | Ok project_of, Ok tenant_keyed ->
-    let rec build acc i =
-      if i = shards then
-        Ok
-          { monitors = Array.of_list (List.rev acc);
-            project_of;
-            tenant_keyed;
-            shard_memo = Hashtbl.create 64
-          }
-      else
-        match Monitor.create config backend with
-        | Ok m -> build (m :: acc) (i + 1)
-        | Error _ as e -> e
-    in
-    build [] 0
+  Result.map
+    (fun first ->
+      { monitors =
+          Array.init shards (fun i ->
+              if i = 0 then first else Monitor.replicate first);
+        shard_memo = Hashtbl.create 64
+      })
+    (Monitor.create config backend)
 
 let shards t = Array.length t.monitors
 let monitor t i = t.monitors.(i)
 
 (* FNV-1a, masked to a non-negative int.  Any stable string hash works;
-   what matters is that the partition depends only on the project id
+   what matters is that the partition depends only on the tenant id
    and the shard count. *)
 let fnv1a s =
   let h = ref 0x811c9dc5 in
@@ -48,23 +32,19 @@ let fnv1a s =
     s;
   !h
 
-(* Callers that already classified the request (or carry the tenant in
-   hand) skip re-extraction; the hash itself is memoized because the
-   same few project ids arrive millions of times. *)
-let shard_of_project t project =
-  match Hashtbl.find_opt t.shard_memo project with
-  | Some s -> s
-  | None ->
-    let s = fnv1a project mod Array.length t.monitors in
-    Hashtbl.add t.shard_memo project s;
-    s
-
+(* [Monitor.tenant_of] reads only the shared derivation, never replica
+   0's run-time state.  The hash is memoized because the same few
+   tenant ids arrive millions of times. *)
 let shard_of t req =
-  match t.project_of req with
+  match Monitor.tenant_of t.monitors.(0) req with
   | None -> 0
-  | Some project -> shard_of_project t project
-
-let tenant_keyed t req = t.tenant_keyed req
+  | Some tenant ->
+    (match Hashtbl.find_opt t.shard_memo tenant with
+     | Some s -> s
+     | None ->
+       let s = fnv1a tenant mod Array.length t.monitors in
+       Hashtbl.add t.shard_memo tenant s;
+       s)
 
 let handle_all ?(domains = 1) t reqs =
   let reqs = Array.of_list reqs in

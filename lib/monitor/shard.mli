@@ -21,8 +21,10 @@ type t
 
 val create :
   ?shards:int -> Monitor.config -> Observer.backend -> (t, string list) result
-(** [create ~shards config backend] builds [shards] (default 1) monitor
-    replicas.  For cross-exchange observation reuse pass a config with
+(** [create ~shards config backend] derives the configuration once
+    ({!Monitor.create}) and builds [shards] (default 1) replicas that
+    share that derivation ({!Monitor.replicate}).  For cross-exchange
+    observation reuse pass a config with
     [cache = Obs_cache.Cross_request]; each replica's cache only ever
     holds state of the tenants hashed to it. *)
 
@@ -33,20 +35,13 @@ val monitor : t -> int -> Monitor.t
     statistics. *)
 
 val shard_of : t -> Cm_http.Request.t -> int
-(** The shard that will serve this request: FNV-1a hash of the
-    classified project id modulo {!shards}; [0] when classification
-    binds no project.  Classification uses a config-derived extractor —
-    no monitor replica (in particular not shard 0's) is involved — and
-    the hash is memoized per project id.  Admission-side only: call it
-    from the dispatching domain, before fan-out. *)
-
-val tenant_keyed : t -> Cm_http.Request.t -> bool
-(** Does the static write-effect analysis prove the request's event
-    tenant-keyed ({!Monitor.tenant_keyed_classifier})?  [true] means the
-    per-shard determinism contract covers it outright; [false] marks
-    traffic — identity writes, unmodelled paths — whose verdicts may
-    couple shards through shared state.  Config-derived at {!create},
-    admission-side, no replica involved. *)
+(** The shard that will serve this request: FNV-1a hash of the tenant
+    id classification binds ({!Monitor.tenant_of}) modulo {!shards};
+    [0] when it binds none.  Classification reads only the pool's
+    shared derivation (its dispatch table and tenant parameter), which
+    nothing writes after {!create}, so admission never serializes on a
+    replica; the hash is memoized per tenant id.  Admission-side only:
+    call it from the dispatching domain, before fan-out. *)
 
 val handle_all :
   ?domains:int -> t -> Cm_http.Request.t list -> Outcome.t array

@@ -414,8 +414,7 @@ let run_crash_one ?(cross = true) ?(seed = 42) ~index ~site ~nth profile
             xr_discarded_bytes = !discarded
           }))
 
-let run_crash_matrix ?cross ?seed ?(domains = 1) ?(nth = 3) ?(sites = crash_sites)
-    profiles mutants =
+let run_crash_matrix ?cross ?seed ?(domains = 1) ?(nth = 3) profiles mutants =
   let jobs =
     List.concat_map
       (fun profile ->
@@ -424,7 +423,7 @@ let run_crash_matrix ?cross ?seed ?(domains = 1) ?(nth = 3) ?(sites = crash_site
             List.map
               (fun m -> (profile, site, m))
               (None :: List.map (fun m -> Some m) mutants))
-          sites)
+          crash_sites)
       profiles
   in
   sequence

@@ -174,7 +174,6 @@ val run_crash_matrix :
   ?seed:int ->
   ?domains:int ->
   ?nth:int ->
-  ?sites:string list ->
   Cm_cloudsim.Chaos.profile option list ->
   Mutant.t list ->
   (crash_run list, string list) Stdlib.result

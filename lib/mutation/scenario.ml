@@ -211,7 +211,7 @@ type jctx = {
 
 let setup_journaled ?(cross = false) ?(mode = Monitor.Oracle)
     ?(faults = Cm_cloudsim.Faults.none) ?chaos ?chaos_seed ?resilience
-    ?(batch = 8) ?(journal_seed = 7) ?crash () =
+    ?(batch = 8) ?crash () =
   let resources, behavior, table = models cross in
   (* The chaos transport models the *network*, which survives a monitor
      crash — it is created once and shared across recoveries, so its
@@ -227,7 +227,7 @@ let setup_journaled ?(cross = false) ?(mode = Monitor.Oracle)
     in
     Monitor.create config backend
   in
-  let device = Device.create ~clock ~seed:journal_seed () in
+  let device = Device.create ~clock ~seed:7 () in
   match Jmonitor.create ~batch ?crash device jmake with
   | Error msgs -> Error msgs
   | Ok jmon ->

@@ -130,13 +130,12 @@ val setup_journaled :
   ?chaos_seed:int ->
   ?resilience:Cm_monitor.Resilience.policy ->
   ?batch:int ->
-  ?journal_seed:int ->
   ?crash:Cm_core.Crash.t ->
   unit ->
   (jctx, string list) result
 (** {!setup} (or {!setup_cross} with [~cross:true]) plus a journal
     device on the shared clock and a journaled monitor over it.
-    [journal_seed] seeds the device's torn-tail draw; [crash] arms
+    The device's torn-tail draw is seeded with 7; [crash] arms
     deterministic crash-point injection. *)
 
 val jrecover : jctx -> (Cm_journal.Jmonitor.recovery, string list) result

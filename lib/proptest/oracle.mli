@@ -74,5 +74,10 @@ val monitor_schedule : int -> string * string
 val monitor_trace : seed:int -> index:int -> size:int -> Cm_workload.Workload.trace
 (** The trace [monitor] case [index] runs. *)
 
+val strict_outcome_key : Cm_monitor.Outcome.t -> string
+(** What [monitor] compares fault-free outcomes by, with no
+    normalization: status, conformance, both verdicts with their hints,
+    covered requirements, detail and snapshot size. *)
+
 val all : t list
 val find : string -> t option

@@ -123,11 +123,7 @@ let driver ?(faults = Cm_cloudsim.Faults.none) spec () =
     | Error msg -> failwith msg
   in
   let id_param = Cm_uml.Paths.id_param in
-  let context_param =
-    match RM.outgoing spec.resources.RM.root spec.resources with
-    | child :: _ -> id_param child.RM.target
-    | [] -> "project_id"
-  in
+  let context_param = id_param (Paths.context spec.resources) in
   let expand template bindings =
     Cm_http.Uri_template.expand_exn template
       ((context_param, project) :: bindings)

@@ -174,7 +174,7 @@ let analyze machine sample =
   @ guard_determinism machine sample
   @ vacuity machine ~pre_states:sample ~post_states:sample
 
-let cinder_sample ?(max_volumes = 4) ?(max_quota = 4) () =
+let cinder_sample () =
   let volume i status =
     Json.obj
       [ ("id", Json.string (Printf.sprintf "vol-%d" i));
@@ -191,8 +191,8 @@ let cinder_sample ?(max_volumes = 4) ?(max_quota = 4) () =
       Cm_rbac.Security_table.cinder_assignment
   in
   let states = ref [] in
-  for quota = 1 to max_quota do
-    for n = 0 to min max_volumes quota do
+  for quota = 1 to 4 do
+    for n = 0 to quota do
       (* two status mixes: all available, and (if any) first in-use *)
       let mixes =
         if n = 0 then [ [] ]

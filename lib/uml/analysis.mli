@@ -46,8 +46,7 @@ val analyze :
 (** All checks; for {!vacuity} the same sample is used for pre and post
     states. *)
 
-val cinder_sample :
-  ?max_volumes:int -> ?max_quota:int -> unit -> Cm_ocl.Eval.env list
+val cinder_sample : unit -> Cm_ocl.Eval.env list
 (** The Cinder observation space: n volumes (each available or in-use),
-    quota q, for n ≤ [max_volumes] (default 4), 1 ≤ q ≤ [max_quota]
-    (default 4), n ≤ q, with a [user] in each of the three groups. *)
+    quota q, for 1 ≤ q ≤ 4 and n ≤ q, with a [user] in each of the three
+    groups. *)

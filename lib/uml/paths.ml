@@ -6,6 +6,11 @@ type entry = {
 
 let id_param name = String.lowercase_ascii name ^ "_id"
 
+let context (model : Resource_model.t) =
+  match Resource_model.outgoing model.Resource_model.root model with
+  | child :: _ -> child.Resource_model.target
+  | [] -> model.Resource_model.root
+
 let ( let* ) r f = Result.bind r f
 
 let derive (model : Resource_model.t) =

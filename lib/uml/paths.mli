@@ -40,3 +40,11 @@ val template_for :
 val id_param : string -> string
 (** Parameter name for an item of the given resource definition:
     ["volume" -> "volume_id"]. *)
+
+val context : Resource_model.t -> string
+(** The tenant context: the resource definition the root collection
+    contains (the Cinder models' [project]).  Every request addressed to
+    one tenant binds its {!id_param} ([project_id]), so that parameter
+    is the tenant key the monitor classifies, shards and observes by.
+    A root that contains nothing (a model {!Validate} rejects) is its
+    own context, and no derived template binds its parameter. *)

@@ -43,9 +43,6 @@ let catalogue =
 let issue ~rule ~where problem =
   Lint.finding ~rule ~severity:Lint.Error ~where problem
 
-let pp_issue = Lint.pp_finding
-(* Deprecated: use {!Cm_lint.Lint.pp_finding} (this is now an alias). *)
-
 let duplicates names =
   let sorted = List.sort String.compare names in
   let rec loop acc = function

@@ -17,10 +17,6 @@ type issue = Cm_lint.Lint.finding
 val catalogue : Cm_lint.Lint.rule list
 (** Metadata for the VAL001..VAL006 well-formedness rules. *)
 
-val pp_issue : Format.formatter -> issue -> unit
-[@@ocaml.deprecated "Use Cm_lint.Lint.pp_finding instead."]
-(** Deprecated alias of {!Cm_lint.Lint.pp_finding}. *)
-
 val resource_model : Resource_model.t -> issue list
 (** Checks: unique resource names; association endpoints exist; role
     names unique per source; collections have no attributes and exactly

@@ -686,6 +686,165 @@ let reference_tests =
           ])
   ]
 
+(* ---- the tenant is the model's ----
+
+   The Cinder models with their context resource renamed project ->
+   tenant: the resource definition, the associations, the machine's
+   context and every OCL variable.  The derived URIs expand to the same
+   paths (/v3/{tenant_id}/volumes), so the same cloud serves both, and
+   everything keyed on the tenant must follow the model's name. *)
+
+let tenant_name name = if name = "project" then "tenant" else name
+
+let tenant_resources =
+  let open Cm_uml.Resource_model in
+  let r = Cinder.resources in
+  { r with
+    resources =
+      List.map (fun d -> { d with def_name = tenant_name d.def_name })
+        r.resources;
+    associations =
+      List.map
+        (fun a ->
+          { a with
+            source = tenant_name a.source;
+            target = tenant_name a.target
+          })
+        r.associations
+  }
+
+let tenant_behavior =
+  let rename = Cm_ocl.Ast.map_vars (fun v -> Cm_ocl.Ast.Var (tenant_name v)) in
+  let b = Cinder.behavior in
+  { b with
+    BM.context = tenant_name b.BM.context;
+    states =
+      List.map
+        (fun (st : BM.state) -> { st with invariant = rename st.invariant })
+        b.states;
+    transitions =
+      List.map
+        (fun (tr : BM.transition) ->
+          { tr with
+            guard = Option.map rename tr.guard;
+            effect = Option.map rename tr.effect
+          })
+        b.transitions
+  }
+
+let tenant_tests =
+  [ Alcotest.test_case "renamed tenant: production = reference" `Quick
+      (fun () ->
+        let standard_trace run =
+          let fx = fixture () in
+          let tokens =
+            [ ("alice", fx.alice); ("bob", fx.bob); ("carol", fx.carol) ]
+          in
+          List.map Cm_proptest.Oracle.strict_outcome_key
+            (run fx tokens Cm_workload.Workload.standard_trace)
+        in
+        let production =
+          standard_trace (fun fx tokens ->
+              let config =
+                Monitor.default_config ~service_token:fx.service ~security
+                  tenant_resources tenant_behavior
+              in
+              match Monitor.create config (Cloud.handle fx.cloud) with
+              | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+              | Ok monitor ->
+                Cm_mutation.Scenario.run_trace
+                  { cloud = fx.cloud; monitor; tokens;
+                    clock = Cm_core.Clock.create (); chaos = None })
+        in
+        let reference =
+          standard_trace (fun fx rtokens ->
+              match
+                Cm_monitor.Reference.create ~service_token:fx.service
+                  ~security tenant_resources tenant_behavior
+                  (Cloud.handle fx.cloud)
+              with
+              | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+              | Ok reference ->
+                Cm_mutation.Scenario.run_reference
+                  { rcloud = fx.cloud; reference; rtokens })
+        in
+        Alcotest.(check int) "every standard-trace exchange judged"
+          (List.length reference) (List.length production);
+        List.iteri
+          (fun i (want, got) ->
+            Alcotest.(check string) (Printf.sprintf "exchange %d" i) want got)
+          (List.combine reference production));
+    Alcotest.test_case "renamed tenant: shard routing unchanged" `Quick
+      (fun () ->
+        let route resources behavior =
+          match
+            Cm_monitor.Shard.create ~shards:4
+              (Monitor.default_config ~service_token:"t" ~security resources
+                 behavior)
+              (fun _ -> Response.error Cm_http.Status.not_found "")
+          with
+          | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+          | Ok pool ->
+            List.map
+              (fun tenant ->
+                Cm_monitor.Shard.shard_of pool
+                  (Request.make Meth.GET ("/v3/" ^ tenant ^ "/volumes")))
+              [ "tenant-a"; "tenant-b"; "tenant-c" ]
+        in
+        let original = route Cinder.resources Cinder.behavior in
+        Alcotest.(check bool) "the original models spread the tenants" true
+          (List.length (List.sort_uniq Int.compare original) >= 2);
+        Alcotest.(check (list int)) "renamed models route alike" original
+          (route tenant_resources tenant_behavior));
+    Alcotest.test_case "renamed tenant: analysis unchanged" `Quick (fun () ->
+        let findings resources behavior =
+          Cm_analysis.Rules.analyze
+            { Cm_analysis.Input.resources; behavior; security = Some security }
+          |> List.map (Fmt.str "%a" Cm_lint.Lint.pp_finding)
+        in
+        Alcotest.(check (list string)) "same findings as the original models"
+          (findings Cinder.resources Cinder.behavior)
+          (findings tenant_resources tenant_behavior))
+  ]
+
+(* ---- one derivation per pool ---- *)
+
+let derivation_tests =
+  [ Alcotest.test_case "replicas share one derivation" `Quick (fun () ->
+        let fx = fixture () in
+        let config = Monitor.configuration fx.monitor in
+        match
+          Cm_monitor.Shard.create ~shards:3 config (Cloud.handle fx.cloud)
+        with
+        | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+        | Ok pool ->
+          let replica = Cm_monitor.Shard.monitor pool in
+          let first = Monitor.contracts (replica 0) in
+          for i = 1 to Cm_monitor.Shard.shards pool - 1 do
+            Alcotest.(check bool)
+              (Printf.sprintf "replica %d's contracts are replica 0's" i)
+              true
+              (List.for_all2 ( == ) first (Monitor.contracts (replica i)))
+          done;
+          (* ... and no run-time state: an exchange on replica 1 leaves
+             replica 0's coverage and cache untouched *)
+          ignore
+            (Monitor.handle (replica 1)
+               (Request.make Meth.GET "/v3/myProject/volumes"
+               |> Request.with_auth_token fx.alice));
+          let exercised m =
+            List.exists (fun (_, n) -> n > 0) (Monitor.coverage m)
+          in
+          Alcotest.(check bool) "replica 1 counted the exchange" true
+            (exercised (replica 1));
+          Alcotest.(check bool) "replica 0 did not" false
+            (exercised (replica 0));
+          Alcotest.(check bool) "replica 0's cache is untouched" true
+            (Monitor.cache_stats (replica 0)
+            = Some
+                Cm_monitor.Obs_cache.{ hits = 0; misses = 0; invalidated = 0 }))
+  ]
+
 (* ---- pinned exchange output ----
 
    Every field of every outcome, one line per exchange, pinned by MD5
@@ -1243,6 +1402,8 @@ let () =
       ("audit", audit_tests);
       ("dispatch", dispatch_tests);
       ("reference", reference_tests);
+      ("tenant", tenant_tests);
+      ("derivation", derivation_tests);
       ("exchanges", exchange_pin_tests);
       ("memory", memory_tests)
     ]

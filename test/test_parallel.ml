@@ -15,7 +15,6 @@ module Obs_cache = Cm_monitor.Obs_cache
 module Outcome = Cm_monitor.Outcome
 module Response = Cm_http.Response
 module Meth = Cm_http.Meth
-module SB = Cloudmon.Serve_bench
 
 let domain_counts = [ 1; 2; 4 ]
 
@@ -135,56 +134,60 @@ let test_fuzz_domains () =
       rest
   | [] -> ()
 
-(* ---- sharded serving: arrival order and per-shard sequences ---- *)
-
-let test_shard_determinism () =
-  let spec =
-    { SB.projects = 4; requests_per_project = 25; seed = 7 }
-  in
-  let runs =
-    List.map
-      (fun domains ->
-        match SB.verdict_run spec ~domains with
-        | Ok r -> r
-        | Error msgs -> Alcotest.fail (String.concat "; " msgs))
-      domain_counts
-  in
-  match runs with
-  | (ref_arrival, ref_shards) :: rest ->
-    Alcotest.(check int) "expected workload size" 100
-      (List.length ref_arrival);
-    List.iteri
-      (fun i (arrival, shards) ->
-        let d = List.nth domain_counts (i + 1) in
-        Alcotest.(check bool)
-          (Printf.sprintf "arrival-order verdicts identical at %d domains" d)
-          true
-          (arrival = ref_arrival);
-        Alcotest.(check bool)
-          (Printf.sprintf "per-shard sequences identical at %d domains" d)
-          true
-          (shards = ref_shards))
-      rest
-  | [] -> ()
-
 (* ---- workload mixes over the partitioned store at 1/2/4 domains ---- *)
+
+(* Does the write-effect analysis ({!Cm_analysis.Effects.events}) prove
+   the request's event tenant-keyed?  The request is classified as the
+   monitor classifies it (a monitor built from the same config; [create]
+   never calls the backend).  Unclassified requests — token
+   introspections, unmodelled paths — are conservatively cross-shard. *)
+let tenant_keyed_predicate (config : Monitor.config) =
+  let monitor =
+    match
+      Monitor.create config (fun _ ->
+          Response.error Cm_http.Status.not_found "")
+    with
+    | Ok m -> m
+    | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+  in
+  let events =
+    match
+      Cm_analysis.Effects.events
+        { Cm_analysis.Input.resources = config.resources;
+          behavior = config.behavior;
+          security = config.security
+        }
+    with
+    | Ok events -> events
+    | Error msg -> Alcotest.fail msg
+  in
+  fun (req : Cm_http.Request.t) ->
+    match Monitor.entry_for_path monitor req.Cm_http.Request.path with
+    | None -> false
+    | Some entry ->
+      let trigger =
+        Monitor.trigger_for monitor entry req.Cm_http.Request.meth
+      in
+      List.exists
+        (fun (ev : Cm_analysis.Effects.event) ->
+          Cm_uml.Behavior_model.trigger_equal ev.ev_trigger trigger
+          && ev.ev_tenant_keyed)
+        events
 
 (* The batch-served mixes are restricted to their shard-closed
    projection — but which requests are shard-closed is the static
    analysis' call, not the test's.  A request stays iff the write-effect
-   analysis proved its event tenant-keyed
-   ({!Monitor.tenant_keyed_classifier}), or it is a safe method (reads
-   have no write effect — the AN013 invariant — so they cannot couple
-   shards).  Everything else — token revocations writing shared identity
-   state, unmodelled cross-service mutations — is conservatively
-   cross-shard and serializes outside the batch determinism contract;
-   revocation visibility has its own sequential scenario coverage. *)
+   analysis proved its event tenant-keyed ({!tenant_keyed_predicate}),
+   or it is a safe method (reads have no write effect — the AN013
+   invariant — so they cannot couple shards).  Everything else — token
+   revocations writing shared identity state, unmodelled cross-service
+   mutations — is conservatively cross-shard and serializes outside the
+   batch determinism contract; revocation visibility has its own
+   sequential scenario coverage. *)
 let shard_safe_predicate config =
-  match Monitor.tenant_keyed_classifier config with
-  | Error msgs -> Alcotest.fail (String.concat "; " msgs)
-  | Ok tenant_keyed ->
-    fun (req : Cm_http.Request.t) ->
-      tenant_keyed req || Meth.is_safe req.Cm_http.Request.meth
+  let tenant_keyed = tenant_keyed_predicate config in
+  fun (req : Cm_http.Request.t) ->
+    tenant_keyed req || Meth.is_safe req.Cm_http.Request.meth
 
 (* A miniature serve-bench world: one cloud, [projects] tenants over the
    RCU-partitioned store, each tenant replaying the same symbolic mix
@@ -332,6 +335,18 @@ let check_mix_deterministic name trace_for =
       rest
   | [] -> ()
 
+(* ---- sharded serving: arrival order and per-shard sequences ---- *)
+
+(* The read-heavy mix, 4 tenants x 25 steps: every step is a modelled
+   volume operation, so the shard-safe projection keeps all 100. *)
+let test_shard_determinism () =
+  let trace_for i =
+    Cm_workload.Workload.read_heavy_trace ~steps:25 ~victims:2 ~seed:(7 + i)
+  in
+  let _, _, reqs = mix_world ~projects:4 trace_for in
+  Alcotest.(check int) "expected workload size" 100 (List.length reqs);
+  check_mix_deterministic "read-heavy" trace_for
+
 let test_mix_standard () =
   check_mix_deterministic "standard"
     (fun _ -> Cm_workload.Workload.standard_trace)
@@ -360,11 +375,7 @@ let test_shard_safe_projection () =
         }
       Cm_uml.Cinder_model.resources Cm_uml.Cinder_model.behavior
   in
-  let tenant_keyed =
-    match Monitor.tenant_keyed_classifier config with
-    | Ok f -> f
-    | Error msgs -> Alcotest.fail (String.concat "; " msgs)
-  in
+  let tenant_keyed = tenant_keyed_predicate config in
   let shard_safe = shard_safe_predicate config in
   let st =
     { Cm_workload.Exec.st_project = "proj-a";
@@ -637,16 +648,31 @@ let test_multiple_failures_aggregated () =
 
 (* ---- the monitored read path takes zero locks ---- *)
 
+(* Instrumented-lock acquisitions on the monitored {e read} path: the
+   read-heavy mix's GETs (listings and item reads) served twice through
+   one pool, the process-global Lockstat counter differenced over the
+   second pass — setup and the first pass (logins, seeding, contract
+   generation, one-time lazy initialization) lock freely.  With the RCU
+   store and lock-free identity validation the delta must be exactly
+   zero; any nonzero value means a lock crept back onto the hot path. *)
 let test_get_path_lock_free () =
-  let spec = { SB.projects = 2; requests_per_project = 30; seed = 21 } in
-  match SB.run ~spec ~domains_list:[ 1 ] () with
+  let config, backend, reqs =
+    mix_world ~projects:2 (fun i ->
+        Cm_workload.Workload.read_heavy_trace ~steps:30 ~victims:2
+          ~seed:(21 + i))
+  in
+  let gets =
+    List.filter (fun (r : Cm_http.Request.t) -> r.meth = Meth.GET) reqs
+  in
+  Alcotest.(check bool) "the mix has GETs" true (gets <> []);
+  match Cm_monitor.Shard.create ~shards:2 config backend with
   | Error msgs -> Alcotest.fail (String.concat "; " msgs)
-  | Ok report ->
-    (match SB.check_contention report with
-     | Ok () -> ()
-     | Error msg -> Alcotest.fail msg);
-    Alcotest.(check bool) "gate metric is exactly zero" true
-      (report.SB.rp_get_locks_per_req = 0.)
+  | Ok pool ->
+    ignore (Cm_monitor.Shard.handle_all ~domains:1 pool gets);
+    let locks0 = Cm_core.Lockstat.total_acquisitions () in
+    ignore (Cm_monitor.Shard.handle_all ~domains:1 pool gets);
+    Alcotest.(check int) "gate metric is exactly zero" 0
+      (Cm_core.Lockstat.total_acquisitions () - locks0)
 
 (* ---- the cache cannot change what the monitor concludes ---- *)
 
