@@ -163,10 +163,6 @@ let events (input : Input.t) =
     in
     Ok (model_events @ [ identity ])
 
-let writes_of_trigger evs trigger =
-  List.find_opt (fun e -> BM.trigger_equal e.ev_trigger trigger) evs
-  |> Option.map (fun e -> e.ev_writes)
-
 (* Field-aware footprint intersection: a write to [root.f] interferes
    with a read of [root.g] only when [f = g] or either side is [All]. *)
 let footprints_interfere (reads : Footprint.t) (writes : Footprint.t) =

@@ -50,9 +50,6 @@ val events : Input.t -> (event list, string) result
     pseudo-event appended.  [Error] when the resource model's URI table
     cannot be derived. *)
 
-val writes_of_trigger :
-  event list -> Cm_uml.Behavior_model.trigger -> Cm_ocl.Footprint.t option
-
 val footprints_interfere : Cm_ocl.Footprint.t -> Cm_ocl.Footprint.t -> bool
 (** [footprints_interfere reads writes]: do they meet on some root at
     field granularity ([All] meets anything on the same root)? *)

@@ -9,11 +9,6 @@ type outcome =
   | Sat of Eval.env
   | Unknown
 
-let pp_outcome ppf = function
-  | Unsat -> Fmt.string ppf "unsat"
-  | Sat _ -> Fmt.string ppf "sat"
-  | Unknown -> Fmt.string ppf "unknown"
-
 let atom_budget = 24
 let node_budget = 20000
 let neq_budget = 6

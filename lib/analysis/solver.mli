@@ -26,8 +26,6 @@ type outcome =
   | Sat of Cm_ocl.Eval.env  (** a verified witness *)
   | Unknown
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 val satisfiable : Cm_ocl.Ast.expr -> outcome
 (** Can the expression evaluate to [True] in some environment? *)
 

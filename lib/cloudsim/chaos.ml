@@ -86,8 +86,6 @@ let profiles =
 let find_profile name =
   List.find_opt (fun p -> p.name = name) profiles
 
-let pp_profile ppf p = Fmt.pf ppf "%s (%s)" p.name p.description
-
 type t = {
   profile : profile;
   clock : Clock.t;

@@ -60,7 +60,6 @@ val profiles : profile list
 (** All named profiles, [fault_free] first. *)
 
 val find_profile : string -> profile option
-val pp_profile : Format.formatter -> profile -> unit
 
 type t
 

@@ -2,7 +2,7 @@ module Compile = Cm_ocl.Compile
 module Eval = Cm_ocl.Eval
 module Value = Cm_ocl.Value
 
-(* Everything staged once per contract at prepare time: one slot plan
+(* Everything staged once per contract at [stage] time: one slot plan
    shared by all of the contract's expressions, and one tracked closure
    (closure + dependency summary) per expression the monitor evaluates
    on the request path. *)
@@ -28,8 +28,8 @@ type staged = {
 }
 
 (* Top-level check counters: [evals] are real expression evaluations,
-   [replays] memoized verdict replays.  Single-threaded per prepared
-   contract (each monitor shard owns its own prepared list). *)
+   [replays] memoized verdict replays.  Single-threaded per instance
+   (each monitor owns its instances). *)
 type counters = { mutable evals : int; mutable replays : int }
 
 (* An observed state: the interpreter environment as delivered by the
@@ -55,6 +55,19 @@ type inc = {
   mutable slots_changed : int;
 }
 
+(* What a contract determines, staged once and shared by every instance:
+   its closures over one slot plan, and its read-set.  Nothing writes it
+   after [stage], so instances on other domains read it without a
+   lock. *)
+type plan = {
+  p_contract : Contract.t;
+  p_staged : staged;
+  p_footprint : Cm_ocl.Footprint.t;
+}
+
+(* One instance: the memo frame and counters it owns, beside the plan's
+   parts (copied, so the request path reads them at one remove, as
+   before the split). *)
 type prepared = {
   contract : Contract.t;
   staged : staged;
@@ -144,9 +157,15 @@ let stage_contract (contract : Contract.t) (compiled : Snapshot.compiled) =
     slots_impure = List.exists (fun (_, _, t) -> tracked_impure t) slots_t
   }
 
-let prepare contract =
-  let compiled = Snapshot.compile contract.Contract.post in
-  let staged = stage_contract contract compiled in
+let stage contract =
+  { p_contract = contract;
+    p_staged =
+      stage_contract contract (Snapshot.compile contract.Contract.post);
+    p_footprint = contract_footprint contract
+  }
+
+let instance plan =
+  let staged = plan.p_staged in
   let memo = Compile.make_memo staged.plan in
   let inc =
     { memo;
@@ -162,13 +181,14 @@ let prepare contract =
       slots_changed = 0
     }
   in
-  { contract;
+  { contract = plan.p_contract;
     staged;
-    footprint = contract_footprint contract;
+    footprint = plan.p_footprint;
     counters = { evals = 0; replays = 0 };
     inc
   }
 
+let prepare contract = instance (stage contract)
 let contract p = p.contract
 let footprint p = p.footprint
 

@@ -5,17 +5,35 @@
     check the postcondition in the observed post-state against the
     snapshot.
 
-    {!prepare} stages everything that does not depend on the request —
-    the snapshot plan (only the values under [pre(...)], as in the
-    paper) and one {!Cm_ocl.Compile} closure per contract expression
-    over a shared slot plan — so the per-request work is a frame diff
-    plus direct closure calls or memoized replays. *)
+    A contract is checked in two parts:
+    - its {!plan}: everything that does not depend on the request — the
+      snapshot plan (only the values under [pre(...)], as in the paper),
+      one {!Cm_ocl.Compile} closure per contract expression over a shared
+      slot plan, and the read-set.  {!stage} builds it once, nothing
+      writes it afterwards, and every instance shares it, on any domain;
+    - an {e instance} ({!prepared}): the memo frame the closures
+      evaluate against, with its slot versions, node caches and
+      counters.  {!instance} allocates a fresh one; it belongs to one
+      monitor and is single-threaded.
 
-type prepared
+    So the per-request work is a frame diff plus direct closure calls or
+    memoized replays. *)
+
+type plan
 (** A contract with its snapshot plan compiled and its expressions
     staged (do this once, not per request). *)
 
+val stage : Contract.t -> plan
+
+type prepared
+(** One instance of a {!plan}: the plan and a memo frame of its own. *)
+
+val instance : plan -> prepared
+(** A fresh frame over the plan: no slot observed, no verdict cached,
+    every counter zero.  Stages nothing. *)
+
 val prepare : Contract.t -> prepared
+(** [instance (stage c)]. *)
 
 val contract : prepared -> Contract.t
 
@@ -82,4 +100,4 @@ type eval_stats = {
 }
 
 val eval_stats : prepared -> eval_stats
-(** Counters since prepare. *)
+(** The instance's counters since {!instance}. *)

@@ -38,8 +38,6 @@ let auth_token req = Headers.auth_token req.headers
 let with_auth_token token req =
   { req with headers = Headers.with_auth_token token req.headers }
 
-let with_body body req = { req with body = Some body }
-
 let pp ppf req =
   Fmt.pf ppf "%a %s" Meth.pp req.meth req.path;
   if req.query <> [] then

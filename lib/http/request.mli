@@ -27,7 +27,6 @@ val path_segments : t -> string list
 val query_param : string -> t -> string option
 val auth_token : t -> string option
 val with_auth_token : string -> t -> t
-val with_body : Cm_json.Json.t -> t -> t
 val pp : Format.formatter -> t -> unit
 
 val to_curl : t -> string

@@ -11,11 +11,6 @@ type t = route list
 let empty = []
 let add template meth handler routes = { template; meth; handler } :: routes
 
-let add_all template handlers routes =
-  List.fold_left
-    (fun routes (meth, handler) -> add template meth handler routes)
-    routes handlers
-
 let of_routes specs =
   List.fold_left
     (fun routes (template_text, meth, handler) ->

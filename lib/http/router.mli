@@ -17,8 +17,6 @@ val empty : t
 val add : Uri_template.t -> Meth.t -> handler -> t -> t
 (** Routes added later win ties on specificity. *)
 
-val add_all : Uri_template.t -> (Meth.t * handler) list -> t -> t
-
 val of_routes : (string * Meth.t * handler) list -> t
 (** Build from template strings; raises [Invalid_argument] on a bad
     template. *)

@@ -12,7 +12,6 @@ let method_not_allowed = 405
 let conflict = 409
 let request_entity_too_large = 413
 let internal_server_error = 500
-let not_implemented = 501
 let bad_gateway = 502
 let service_unavailable = 503
 let gateway_timeout = 504

@@ -33,8 +33,6 @@ val request_entity_too_large : t (** 413 — OpenStack "OverLimit" for quota *)
 
 val internal_server_error : t (** 500 *)
 
-val not_implemented : t (** 501 *)
-
 val bad_gateway : t (** 502 — transport blip in front of the cloud *)
 
 val service_unavailable : t (** 503 *)

@@ -38,22 +38,41 @@ let to_float = function
 
 let to_string = function String s -> Some s | _ -> None
 let to_list = function List items -> Some items | _ -> None
-let to_obj = function Obj members -> Some members | _ -> None
 
 let keys = function
   | Obj members -> List.map fst members
   | Null | Bool _ | Int _ | Float _ | String _ | List _ -> []
 
+(* Duplicate keys keep their first binding, the one [member] reads.
+   Sorting raises on the first pair of equal keys: a comparison sort can
+   only order two equal keys by comparing them, so a sort that does not
+   raise had none, and the common case costs no extra pass.  After a
+   stable sort a duplicate key's bindings are adjacent and in source
+   order. *)
+exception Duplicate_key
+
+let compare_unique_keys (k1, _) (k2, _) =
+  let c = String.compare k1 k2 in
+  if c = 0 then raise_notrace Duplicate_key else c
+
+let compare_keys (k1, _) (k2, _) = String.compare k1 k2
+
+let rec first_of_each = function
+  | ((k1, _) as first) :: (k2, _) :: rest when String.equal k1 k2 ->
+    first_of_each (first :: rest)
+  | member :: rest -> member :: first_of_each rest
+  | [] -> []
+
 let rec sort_keys = function
   | (Null | Bool _ | Int _ | Float _ | String _) as atom -> atom
   | List items -> List (List.map sort_keys items)
   | Obj members ->
-    let sorted =
-      List.sort_uniq
-        (fun (k1, _) (k2, _) -> String.compare k1 k2)
-        (List.map (fun (k, v) -> (k, sort_keys v)) members)
-    in
-    Obj sorted
+    let members = List.map (fun (k, v) -> (k, sort_keys v)) members in
+    Obj
+      (match List.stable_sort compare_unique_keys members with
+       | sorted -> sorted
+       | exception Duplicate_key ->
+         first_of_each (List.stable_sort compare_keys members))
 
 (* Numeric values compare by magnitude so that [Int 1] = [Float 1.]: cloud
    responses are free to serialize counters either way. *)
@@ -103,7 +122,9 @@ let rec merge_patch target ~patch =
     let merged =
       List.fold_left
         (fun acc (key, value) ->
-          let without = List.remove_assoc key acc in
+          let without =
+            List.filter (fun (k, _) -> not (String.equal k key)) acc
+          in
           match value with
           | Null -> without
           | Obj _ ->

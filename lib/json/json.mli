@@ -47,7 +47,6 @@ val to_float : t -> float option
 
 val to_string : t -> string option
 val to_list : t -> t list option
-val to_obj : t -> (string * t) list option
 
 val keys : t -> string list
 (** Keys of an object, in order; [[]] for non-objects. *)
@@ -66,10 +65,13 @@ val pp : Format.formatter -> t -> unit
 (** Pretty-print for debugging (compact, single-line). *)
 
 val sort_keys : t -> t
-(** Recursively sort object members by key — canonical form. *)
+(** Recursively sort object members by key — canonical form.  Of a
+    duplicate key's bindings only the first is kept, the one {!member}
+    reads. *)
 
 val merge_patch : t -> patch:t -> t
 (** RFC 7386 JSON merge patch: [patch] members overwrite the target's,
     [Null] members delete, nested objects merge recursively; a non-object
-    patch replaces the target entirely.  This is the semantics partial
-    PUT bodies carry in the simulated services. *)
+    patch replaces the target entirely.  A patched key loses every
+    binding it had in the target, duplicates included.  This is the
+    semantics partial PUT bodies carry in the simulated services. *)

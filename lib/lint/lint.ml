@@ -8,7 +8,6 @@ let severity_label = function
   | Info -> "info"
 
 let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
-let pp_severity ppf s = Fmt.string ppf (severity_label s)
 
 type finding = {
   rule : string;

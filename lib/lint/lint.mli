@@ -12,8 +12,6 @@ val severity_label : severity -> string
 val severity_rank : severity -> int
 (** [Error] ranks lowest (most severe first when sorting). *)
 
-val pp_severity : Format.formatter -> severity -> unit
-
 type finding = {
   rule : string;  (** stable rule code, e.g. ["AN002"] or ["VAL005"] *)
   severity : severity;

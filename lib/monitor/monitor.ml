@@ -65,12 +65,11 @@ let default_config ?(mode = Oracle) ?(stability_check = false) ?resilience
     journal_pre; journal_barrier; crash
   }
 
-(* What a configuration determines, derived once by [create] and shared
-   by every replica [replicate] makes.  Nothing writes it after
-   [create], so replicas serving on other domains and the shard router
+(* What the models determine, generated once per model triple and shared
+   by every monitor created over it.  Nothing writes it after
+   [generate], so monitors serving on other domains and the shard router
    read it without a lock. *)
 type derivation = {
-  config : config;  (* its models passed validation *)
   entries : Cm_uml.Paths.entry list;
   dispatch : (int, Cm_uml.Paths.entry list) Hashtbl.t;
       (* URI entries bucketed by segment count, each bucket presorted by
@@ -78,15 +77,20 @@ type derivation = {
          one bucket scan instead of match-all + sort *)
   tenant_param : string;  (* the tenant context's id parameter *)
   contracts : Contract.t list;
+  plans : (Behavior_model.trigger * Runtime.plan) list;
+      (* each contract staged for checking, by trigger *)
   write_templates :
     (Behavior_model.trigger * Cm_http.Uri_template.t list) list;
       (* per trigger: URI templates locating every piece of state its
          write effect covers — expanded against the request's bindings
          they become the cache-invalidation scopes *)
+  shape : Observer.shape;  (* the observer's path index *)
 }
 
-(* One replica: the derivation plus everything written at run time. *)
+(* One monitor: its configuration and derivation, plus everything
+   written at run time. *)
 type t = {
+  config : config;
   derived : derivation;
   backend : Observer.backend;  (* the raw transport *)
   resilient : Resilience.t option;
@@ -97,7 +101,7 @@ type t = {
       (* whether the current [handle] already reached the backend — read
          by exception containment to say if the request may have run *)
   by_trigger : (Behavior_model.trigger, Runtime.prepared) Hashtbl.t;
-      (* the prepared contracts, with their memo frames *)
+      (* an instance of each plan: the memo frames this monitor owns *)
   observer_base : Observer.t;
       (* per request this is re-targeted with [with_project] (a cheap
          record copy) instead of re-deriving *)
@@ -127,7 +131,7 @@ let eval_stats t =
 
 let flush_cache t = Obs_cache.clear t.cache
 let uri_table t = t.derived.entries
-let configuration t = t.derived.config
+let configuration t = t.config
 let reset_log t = Hashtbl.iter (fun _ count -> count := 0) t.coverage
 
 let coverage t =
@@ -167,26 +171,24 @@ let observation_envelope (req : Request.t) (resp : Response.t) =
 
 let ( let* ) = Result.bind
 
-(* Validate the models, derive the URI table, generate and typecheck
-   the contracts, and run the write-effect analysis.  All validation
-   problems are reported together. *)
-let derive config =
-  let issues = Cm_uml.Validate.all config.resources [ config.behavior ] in
+(* Validate the models, derive the URI table, generate, typecheck and
+   stage the contracts, and run the write-effect analysis.  All
+   validation problems are reported together. *)
+let generate resources behavior security =
+  let issues = Cm_uml.Validate.all resources [ behavior ] in
   let single r = Result.map_error (fun msg -> [ msg ]) r in
   if issues <> [] then
     Error (List.map (Fmt.str "%a" Cm_lint.Lint.pp_finding) issues)
   else
-    let* entries = single (Cm_uml.Paths.derive config.resources) in
-    let* contracts =
-      single (Generate.all ?security:config.security config.behavior)
-    in
+    let* entries = single (Cm_uml.Paths.derive resources) in
+    let* contracts = single (Generate.all ?security behavior) in
     let type_errors =
       List.concat_map
         (fun c ->
           List.map
             (Fmt.str "contract %a: %a" Behavior_model.pp_trigger
                c.Contract.trigger Cm_ocl.Typecheck.pp_error)
-            (Generate.typecheck config.resources c))
+            (Generate.typecheck resources c))
         contracts
     in
     if type_errors <> [] then Error type_errors
@@ -194,10 +196,7 @@ let derive config =
       (* The static analysis layer: per-trigger write effects feed the
          effect-driven cache invalidation. *)
       let analysis_input =
-        { Cm_analysis.Input.resources = config.resources;
-          behavior = config.behavior;
-          security = config.security
-        }
+        { Cm_analysis.Input.resources; behavior; security }
       in
       let* events = single (Cm_analysis.Effects.events analysis_input) in
       let write_templates =
@@ -215,23 +214,109 @@ let derive config =
           events
       in
       Ok
-        { config;
-          entries;
+        { entries;
           dispatch = dispatch_table entries;
           tenant_param =
-            Cm_uml.Paths.id_param (Cm_uml.Paths.context config.resources);
+            Cm_uml.Paths.id_param (Cm_uml.Paths.context resources);
           contracts;
-          write_templates
+          plans =
+            List.map (fun c -> (c.Contract.trigger, Runtime.stage c)) contracts;
+          write_templates;
+          shape = Observer.shape ~model:resources entries
         }
 
-let replica derived backend =
-  let config = derived.config in
+(* ---- the generation memo ----
+
+   A derivation depends on exactly the models [generate] reads, so it is
+   kept per model triple for the life of the process, keyed on the
+   physical identity of the resource and behavior models and of the
+   security table and assignment (callers build the [security] record
+   inline, so its fields are the key, not the record).  Ephemerons hold
+   the keys weakly: an entry never keeps alive models nothing else
+   holds, and its derivation goes with them.  A security-less triple is
+   one two-key ephemeron; a secured one chains a second on the table and
+   the assignment.  The list is most recently used first and holds
+   [memo_capacity] entries, which bounds the ephemerons whose models are
+   gone.  Creates are rare and never on the request path, so one plain
+   mutex covers lookup and generation, and racing creates over one
+   fresh triple generate it once. *)
+
+type memo_entry =
+  | Unsecured of (Resource_model.t, Behavior_model.t, derivation) Ephemeron.K2.t
+  | Secured of
+      ( Resource_model.t,
+        Behavior_model.t,
+        ( Cm_rbac.Security_table.t,
+          Cm_rbac.Role_assignment.t,
+          derivation )
+        Ephemeron.K2.t )
+      Ephemeron.K2.t
+
+let memo_capacity = 16
+let memo : memo_entry list ref = ref []
+let memo_lock = Mutex.create ()
+
+let memo_find config = function
+  | Unsecured e ->
+    (match config.security with
+     | None -> Ephemeron.K2.query e config.resources config.behavior
+     | Some _ -> None)
+  | Secured e ->
+    (match config.security with
+     | None -> None
+     | Some { Generate.table; assignment } ->
+       Option.bind
+         (Ephemeron.K2.query e config.resources config.behavior)
+         (fun e -> Ephemeron.K2.query e table assignment))
+
+let memo_entry config derived =
+  match config.security with
+  | None ->
+    Unsecured (Ephemeron.K2.make config.resources config.behavior derived)
+  | Some { Generate.table; assignment } ->
+    Secured
+      (Ephemeron.K2.make config.resources config.behavior
+         (Ephemeron.K2.make table assignment derived))
+
+let rec memo_lookup config = function
+  | [] -> None
+  | entry :: rest ->
+    (match memo_find config entry with
+     | Some derived -> Some (entry, derived)
+     | None -> memo_lookup config rest)
+
+(* A generation error is returned and not remembered. *)
+let derivation config =
+  Mutex.protect memo_lock (fun () ->
+      match memo_lookup config !memo with
+      | Some (entry, derived) ->
+        memo := entry :: List.filter (fun e -> e != entry) !memo;
+        Ok derived
+      | None ->
+        let generated =
+          generate config.resources config.behavior config.security
+        in
+        Result.iter
+          (fun derived ->
+            memo :=
+              List.filteri
+                (fun i _ -> i < memo_capacity)
+                (memo_entry config derived :: !memo))
+          generated;
+        generated)
+
+(* A monitor over a derivation: it stages nothing, and allocates only
+   its own run-time state. *)
+let instance config derived backend =
   let by_trigger = Hashtbl.create (2 * List.length derived.contracts + 1) in
+  List.iter
+    (fun (trigger, plan) ->
+      if not (Hashtbl.mem by_trigger trigger) then
+        Hashtbl.add by_trigger trigger (Runtime.instance plan))
+    derived.plans;
   let coverage = Hashtbl.create 16 in
   List.iter
     (fun c ->
-      if not (Hashtbl.mem by_trigger c.Contract.trigger) then
-        Hashtbl.add by_trigger c.Contract.trigger (Runtime.prepare c);
       List.iter
         (fun req_id -> Hashtbl.replace coverage req_id (ref 0))
         c.Contract.requirements)
@@ -265,11 +350,12 @@ let replica derived backend =
   let cache = Obs_cache.create config.cache in
   let observer_base =
     Observer.with_cache
-      (Observer.of_entries ~backend:obs_backend ~token:config.service_token
-         ~model:config.resources ~project_id:"" derived.entries)
+      (Observer.of_shape ~backend:obs_backend ~token:config.service_token
+         ~project_id:"" derived.shape)
       cache
   in
-  { derived;
+  { config;
+    derived;
     backend;
     resilient;
     unobservable;
@@ -281,9 +367,9 @@ let replica derived backend =
   }
 
 let create config backend =
-  Result.map (fun derived -> replica derived backend) (derive config)
-
-let replicate t = replica t.derived t.backend
+  Result.map
+    (fun derived -> instance config derived backend)
+    (derivation config)
 
 (* ---- request classification ---- *)
 
@@ -317,7 +403,7 @@ let trigger_for t (entry : Cm_uml.Paths.entry) meth =
       match meth with
       | Meth.POST ->
         Option.value
-          (contained_item t.derived.config.resources entry.resource)
+          (contained_item t.config.resources entry.resource)
           ~default:entry.resource
       | Meth.GET | Meth.PUT | Meth.DELETE | Meth.HEAD | Meth.PATCH
       | Meth.OPTIONS -> entry.resource
@@ -381,7 +467,7 @@ let observation t classified prepared (req : Request.t) =
   let project_id = Option.value ~default:"" classified.tenant in
   let observer = Observer.with_project t.observer_base ~project_id in
   let observer =
-    match t.derived.config.service_token_for with
+    match t.config.service_token_for with
     | Some resolve ->
       (match resolve project_id with
        | Some token -> Observer.with_token observer ~token
@@ -468,7 +554,7 @@ let envs_equal a b =
 
 let stable_post_verdict t ~observe post_env post_verdict =
   match post_verdict with
-  | Cm_ocl.Eval.Violated when t.derived.config.stability_check ->
+  | Cm_ocl.Eval.Violated when t.config.stability_check ->
     (* [~fresh:true]: the re-observation must reach the cloud, not the
        observation cache, or concurrent interference could be masked by
        replaying our own cached reads. *)
@@ -591,7 +677,7 @@ let forward t classified req =
      (when one is attached) must have synced the request record and any
      pre-image appended for it — recovery depends on "forwarded implies
      durably journaled". *)
-  Option.iter (fun barrier -> barrier ()) t.derived.config.journal_barrier;
+  Option.iter (fun barrier -> barrier ()) t.config.journal_barrier;
   let result =
     match t.resilient with
     | None ->
@@ -612,9 +698,9 @@ let forward t classified req =
   in
   (match result with
   | Delivered _ | Unknown_outcome _ ->
-    Cm_core.Crash.at t.derived.config.crash "monitor.after-forward";
+    Cm_core.Crash.at t.config.crash "monitor.after-forward";
     invalidate_after_mutation t classified req;
-    Cm_core.Crash.at t.derived.config.crash "monitor.after-invalidate"
+    Cm_core.Crash.at t.config.crash "monitor.after-invalidate"
   | Not_delivered _ -> ());
   result
 
@@ -625,7 +711,7 @@ let forward t classified req =
    exchange is logged as [Degraded], never as a cloud verdict. *)
 let degrade t classified req failure =
   let why = Resilience.failure_to_string failure in
-  match t.derived.config.degradation with
+  match t.config.degradation with
   | Fail_closed ->
     let detail = "fail-closed: " ^ why in
     outcome_base req
@@ -633,7 +719,7 @@ let degrade t classified req failure =
       None (Outcome.Degraded detail) detail
   | Fail_open_logged ->
     let detail = "fail-open: forwarded unmonitored (" ^ why ^ ")" in
-    Option.iter (fun barrier -> barrier ()) t.derived.config.journal_barrier;
+    Option.iter (fun barrier -> barrier ()) t.config.journal_barrier;
     (match t.backend req with
      | response ->
        t.forward_seen <- true;
@@ -671,11 +757,11 @@ let not_monitored t req =
       (Outcome.Not_monitored, "no model entry for this URI"))
 
 let no_contract t classified req =
-  match t.derived.config.mode with
+  match t.config.mode with
   | Enforce ->
     let allowed =
       Behavior_model.methods_on classified.trigger.Behavior_model.resource
-        t.derived.config.behavior
+        t.config.behavior
       |> List.map Meth.to_string |> String.concat ", "
     in
     let response =
@@ -779,7 +865,7 @@ let oracle_judgement req (image : pre_image) cloud_response post =
    would lie about the pre-state (a DELETE's item guard is false once
    the item is gone). *)
 let conclude t classified prepared req ~observe (image : pre_image) =
-  Option.iter (fun sink -> sink image) t.derived.config.journal_pre;
+  Option.iter (fun sink -> sink image) t.config.journal_pre;
   let with_pre =
     with_pre_phase prepared ~pre_verdict:image.pi_pre_verdict
       ~covered:image.pi_covered
@@ -830,7 +916,7 @@ let conclude t classified prepared req ~observe (image : pre_image) =
       None (Outcome.Undefined hint) (Some post_verdict) detail
   | Delivered cloud_response ->
     let post = observe_post ~stable:true in
-    (match t.derived.config.mode with
+    (match t.config.mode with
      | Enforce ->
        let post_verdict = post () in
        let response, conformance, detail =
@@ -868,7 +954,7 @@ let monitored t req classified prepared observe =
          (diagnostic Status.forbidden conformance detail)
          None conformance detail)
   in
-  match t.derived.config.mode, pre_verdict with
+  match t.config.mode, pre_verdict with
   | Enforce, Cm_ocl.Eval.Violated ->
     blocked Outcome.Conform_denied
       (match auth_tag auth with

@@ -150,29 +150,30 @@ val default_config :
     shares none of it. *)
 
 type t
-(** A monitor replica.  It has two parts:
-    - the configuration's {e derivation}: the validated models, the URI
-      entries and their dispatch table, the tenant parameter, the
-      contracts and the per-trigger write scopes of the effect analysis
-      ({!Cm_analysis.Effects}).  Nothing writes it after {!create}, and
-      every replica {!replicate} makes shares it;
-    - the replica's own run-time state: the prepared contracts with
-      their memo frames, the observation cache, the coverage counters,
-      the resilience layer and the observer. *)
+(** A monitor.  It has two parts:
+    - the {e derivation}: what the models determine — the URI entries
+      and their dispatch table, the tenant parameter, the contracts each
+      staged for checking ({!Cm_contracts.Runtime.plan}), the per-trigger
+      write scopes of the effect analysis ({!Cm_analysis.Effects}) and
+      the observer's path index.  It is generated once per model triple
+      and shared by every monitor created over that triple, on any
+      domain; nothing writes it;
+    - what the monitor owns: its configuration, a memo frame per staged
+      contract ({!Cm_contracts.Runtime.instance}), the observation
+      cache, the coverage counters, the resilience layer and the
+      observer. *)
 
 val create : config -> Observer.backend -> (t, string list) result
-(** Derives the configuration: validates the models, derives the URI
-    table, generates and typechecks the contracts and runs the
-    write-effect analysis.  All validation problems are reported
-    together; a failure of any later step is an [Error] too.  Then
-    builds the first replica over [backend]. *)
-
-val replicate : t -> t
-(** A fresh replica over the same backend, sharing [t]'s derivation:
-    its own prepared contracts, cache, coverage counters, resilience
-    layer and observer, none of [t]'s run-time state.  The shard layer
-    builds its pool this way, so a configuration is derived once
-    however many replicas serve it. *)
+(** A monitor over [backend].  The first create over a model triple
+    (the physical [resources], [behavior] and [security]'s [table] and
+    [assignment]) generates the monitor from it: validates the models,
+    derives the URI table, generates, typechecks and stages the
+    contracts and runs the write-effect analysis.  All validation
+    problems are reported together; a failure of any later step is an
+    [Error] too, and is not remembered.  Every later create over the
+    same triple finds that generation in a process-wide memo and only
+    allocates the new monitor's own state.  The memo holds its models
+    weakly: it keeps no model alive that nothing else holds. *)
 
 val handle : t -> Cm_http.Request.t -> Outcome.t
 (** Monitor one request.  The outcome's [response] is what the caller
@@ -200,8 +201,8 @@ val cache_stats : t -> Obs_cache.stats option
     the benchmark reads it. *)
 
 val eval_stats : t -> Cm_contracts.Runtime.eval_stats
-(** Aggregated incremental-evaluation counters over every prepared
-    contract. *)
+(** Aggregated incremental-evaluation counters over this monitor's
+    memo frames. *)
 
 val flush_cache : t -> unit
 (** Drop all cached observations.  Out-of-band writers (anything that
@@ -213,17 +214,17 @@ val tenant_of : t -> Cm_http.Request.t -> string option
     tenant parameter ({!Cm_uml.Paths.context}'s {!Cm_uml.Paths.id_param},
     [project_id] on the shipped models) in the matched URI entry;
     [None] for an unclassified request or one no tenant addresses.
-    Reads only the derivation, which nothing writes after {!create}, so
-    the shard router calls it on replica 0 from the dispatching domain
-    while the replica serves on another. *)
+    Reads only the derivation, which nothing writes, so the shard router
+    calls it on replica 0 from the dispatching domain while the replica
+    serves on another. *)
 
 val handle_response : t -> Cm_http.Request.t -> Cm_http.Response.t
 (** [ (handle t req).response ] — lets a monitor instance itself be used
     as a backend (monitors compose). *)
 
 val contracts : t -> Cm_contracts.Contract.t list
-(** The generated contracts: the derivation's, shared by every
-    replica. *)
+(** The generated contracts: the derivation's, shared by every monitor
+    over the same models. *)
 
 val uri_table : t -> Cm_uml.Paths.entry list
 (** The derived URI entries the monitor classifies against. *)
@@ -248,7 +249,8 @@ val coverage : t -> (string * int) list
 (** Requirement id -> number of exchanges that exercised it (the
     traceability view of §IV-C), including ids never exercised (count
     0), sorted by id.  One counter per requirement of every contract,
-    made at {!create} and bumped by every {!handle} and {!resume}. *)
+    owned by this monitor, made at {!create} and bumped by every
+    {!handle} and {!resume}. *)
 
 val reset_log : t -> unit
 (** Zero the {!coverage} counters. *)

@@ -6,6 +6,17 @@ module Footprint = Cm_ocl.Footprint
 
 type backend = Request.t -> Response.t
 
+(* What the resource model determines: its URI entries, their index and
+   the tenant context.  Built once per generation and shared by every
+   observer over it; nothing writes it. *)
+type shape = {
+  s_model : RM.t;
+  s_entries : Cm_uml.Paths.entry list;
+  s_index : Cm_uml.Paths.index;
+  s_context_def : string;
+  s_context_param : string;
+}
+
 type t = {
   backend : backend;
   token : string;
@@ -22,19 +33,27 @@ type t = {
       (* interned lowercased resource names — root binding keys are
          produced on every observation, so don't re-derive the string
          each time (shared across [with_project] copies; each monitor
-         shard owns its observer, so single-threaded) *)
+         owns its observer, so single-threaded) *)
 }
 
-let of_entries ~backend ~token ~model ~project_id entries =
+let shape ~model entries =
   let context_def = Cm_uml.Paths.context model in
+  { s_model = model;
+    s_entries = entries;
+    s_index = Cm_uml.Paths.index entries;
+    s_context_def = context_def;
+    s_context_param = Cm_uml.Paths.id_param context_def
+  }
+
+let of_shape ~backend ~token ~project_id shape =
   { backend;
     token;
-    model;
+    model = shape.s_model;
     project_id;
-    entries;
-    entry_index = Cm_uml.Paths.index entries;
-    context_def;
-    context_param = Cm_uml.Paths.id_param context_def;
+    entries = shape.s_entries;
+    entry_index = shape.s_index;
+    context_def = shape.s_context_def;
+    context_param = shape.s_context_param;
     footprint = None;
     cache = None;
     lc_names = Hashtbl.create 16
@@ -42,7 +61,8 @@ let of_entries ~backend ~token ~model ~project_id entries =
 
 let create ~backend ~token ~model ~project_id =
   match Cm_uml.Paths.derive model with
-  | Ok entries -> Ok (of_entries ~backend ~token ~model ~project_id entries)
+  | Ok entries ->
+    Ok (of_shape ~backend ~token ~project_id (shape ~model entries))
   | Error msg ->
     (* A model whose URI scheme cannot be derived would otherwise yield a
        monitor that observes nothing and vacuously passes everything. *)

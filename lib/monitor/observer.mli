@@ -65,15 +65,19 @@ val create_exn :
   t
 (** Raises [Invalid_argument] where {!create} returns [Error]. *)
 
-val of_entries :
-  backend:backend ->
-  token:string ->
-  model:Cm_uml.Resource_model.t ->
-  project_id:string ->
-  Cm_uml.Paths.entry list ->
-  t
-(** Build from already-derived path entries (the monitor derives them
-    once per configuration, and every replica's observer shares them). *)
+type shape
+(** What the resource model determines for observation: its derived URI
+    entries, their lookup index and the tenant context with its id
+    parameter.  Immutable, so observers on any domain share one. *)
+
+val shape : model:Cm_uml.Resource_model.t -> Cm_uml.Paths.entry list -> shape
+(** Index already-derived path entries (the monitor derives them once
+    per generation). *)
+
+val of_shape :
+  backend:backend -> token:string -> project_id:string -> shape -> t
+(** An observer over a shared shape, with its own interned names and no
+    footprint or cache. *)
 
 val with_project : t -> project_id:string -> t
 (** Cheap per-request re-targeting; shares entries/index/cache. *)

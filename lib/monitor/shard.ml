@@ -1,7 +1,8 @@
 type t = {
   monitors : Monitor.t array;
-      (* replica 0 from [Monitor.create], the rest replicated from it:
-         one derivation serves the whole pool *)
+      (* one generation serves the whole pool: the first create
+         generates it and the others find it in [Monitor.create]'s
+         memo *)
   shard_memo : (string, int) Hashtbl.t;
       (* tenant id -> shard index.  Admission-side only: partitioning
          and [shard_of] run on the caller's domain before any fan-out,
@@ -10,14 +11,15 @@ type t = {
 
 let create ?(shards = 1) config backend =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
+  let rec replicas acc n =
+    if n = 0 then Ok (Array.of_list acc)
+    else
+      Result.bind (Monitor.create config backend) (fun m ->
+          replicas (m :: acc) (n - 1))
+  in
   Result.map
-    (fun first ->
-      { monitors =
-          Array.init shards (fun i ->
-              if i = 0 then first else Monitor.replicate first);
-        shard_memo = Hashtbl.create 64
-      })
-    (Monitor.create config backend)
+    (fun monitors -> { monitors; shard_memo = Hashtbl.create 64 })
+    (replicas [] shards)
 
 let shards t = Array.length t.monitors
 let monitor t i = t.monitors.(i)

@@ -21,12 +21,13 @@ type t
 
 val create :
   ?shards:int -> Monitor.config -> Observer.backend -> (t, string list) result
-(** [create ~shards config backend] derives the configuration once
-    ({!Monitor.create}) and builds [shards] (default 1) replicas that
-    share that derivation ({!Monitor.replicate}).  For cross-exchange
-    observation reuse pass a config with
-    [cache = Obs_cache.Cross_request]; each replica's cache only ever
-    holds state of the tenants hashed to it. *)
+(** [create ~shards config backend] makes [shards] (default 1)
+    monitors with {!Monitor.create}: the models are generated into a
+    monitor once, and every replica shares that derivation and owns its
+    memo frames, cache and counters.  For cross-exchange observation
+    reuse pass a config with [cache = Obs_cache.Cross_request]; each
+    replica's cache only ever holds state of the tenants hashed to
+    it. *)
 
 val shards : t -> int
 

@@ -13,8 +13,8 @@ val v_false : Value.t
 
 val value_of_bool : bool -> Value.t
 val value_of_tribool : Value.tribool -> Value.t
-(** Like {!Value.of_bool} / {!Value.of_tribool} but returning the shared
-    values above. *)
+(** Like {!Value.of_bool}, and its three-valued counterpart, but
+    returning the shared values above. *)
 
 val navigate : Value.t -> string -> Value.t
 (** Property navigation [e.prop], including the collect shorthand over

@@ -13,11 +13,6 @@ let truth = function
   | Json (Json.Bool false) -> False
   | Json _ | Undef -> Unknown
 
-let of_tribool = function
-  | True -> Json (Json.Bool true)
-  | False -> Json (Json.Bool false)
-  | Unknown -> Undef
-
 let as_collection = function
   | Undef -> []
   | Json (Json.List items) -> List.map (fun j -> Json j) items
@@ -28,9 +23,12 @@ let equal_value a b =
   | Undef, _ | _, Undef -> Unknown
   | Json x, Json y -> if Json.equal x y then True else False
 
-(* Change detection for the incremental engine: physical equality first
-   (re-observed documents are usually the same boxed value when nothing
-   mutated), deep JSON equality as the ground truth. *)
+(* Change detection for the incremental engine: physical equality first,
+   deep JSON equality as the ground truth.  The shortcut only pays where
+   a caller hands back the very value it bound before: the monitor's
+   observer rebuilds its composite documents (the context binding, the
+   grafted sub-collections) on every exchange, so those reach the deep
+   compare even when every read was a cache hit. *)
 let same a b =
   a == b
   ||

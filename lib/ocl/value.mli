@@ -27,8 +27,6 @@ val of_string : string -> t
 val truth : t -> tribool
 (** [Json (Bool b)] is [b]; everything else is [Unknown]. *)
 
-val of_tribool : tribool -> t
-
 val as_collection : t -> t list
 (** OCL collection coercion: a JSON list yields its elements; [Undef]
     yields the empty collection (an absent resource has no elements —

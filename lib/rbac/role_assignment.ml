@@ -19,8 +19,6 @@ let roles_of subject t =
   |> List.concat_map (fun g -> roles_of_group g t)
   |> List.sort_uniq String.compare
 
-let has_role subject role t = List.mem role (roles_of subject t)
-
 (* Roles ordered by privilege for picking the "primary" one. *)
 let privilege = function "admin" -> 0 | "member" -> 1 | "user" -> 2 | _ -> 3
 

@@ -20,8 +20,6 @@ val groups_of_role : string -> t -> string list
 val roles_of : Subject.t -> t -> string list
 (** All roles the subject holds through any of its groups, sorted. *)
 
-val has_role : Subject.t -> string -> t -> bool
-
 val enrich : Subject.t -> t -> Cm_json.Json.t
 (** The full [user] binding for contract evaluation: subject fields plus
     ["role"] (the subject's strongest single role for display; contracts

@@ -117,7 +117,3 @@ let render ?resources t assignment =
       end)
     t;
   Buffer.contents buf
-
-let pp_entry ppf e =
-  Fmt.pf ppf "%s %s %a [%s]" e.req_id e.resource Cm_http.Meth.pp e.meth
-    (String.concat "," e.roles)

@@ -58,5 +58,3 @@ val cinder_assignment : Role_assignment.t
 val render : ?resources:string list -> t -> Role_assignment.t -> string
 (** Render in the layout of Table I (Resource / SecReq / Request / Role /
     UserGroup), optionally filtered to the given resources. *)
-
-val pp_entry : Format.formatter -> entry -> unit

@@ -1,7 +1,6 @@
 type t = { user_name : string; groups : string list }
 
 let make user_name groups = { user_name; groups }
-let in_group group subject = List.mem group subject.groups
 
 let to_json subject =
   Cm_json.Json.obj

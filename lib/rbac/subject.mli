@@ -12,7 +12,6 @@ type t = {
 }
 
 val make : string -> string list -> t
-val in_group : string -> t -> bool
 
 val to_json : t -> Cm_json.Json.t
 (** The binding shape contracts evaluate over:

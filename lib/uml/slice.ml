@@ -39,11 +39,6 @@ let behavior criterion (machine : BM.t) =
     transitions
   }
 
-let covered_resources (machine : BM.t) =
-  BM.triggers machine
-  |> List.map (fun (t : BM.trigger) -> t.resource)
-  |> List.sort_uniq String.compare
-
 (* Containment ancestors of a resource definition, via the first
    incoming association each step (the path by which it is addressed). *)
 let rec ancestors model name acc =

@@ -34,7 +34,3 @@ val resource_model :
 (** Restrict a resource model to the listed resource definitions plus
     everything on their containment paths from the root (a resource is
     only addressable through its ancestors). *)
-
-val covered_resources : Behavior_model.t -> string list
-(** Trigger resources of a machine — handy to build the matching
-    resource-model slice. *)

@@ -118,6 +118,30 @@ let test_replay_equals_reevaluation () =
       (None, None); (Some 2, Some 2); (Some 0, Some 0); (Some 2, Some 2)
     ]
 
+(* A document with a duplicate key reads as its first binding: a frame
+   holding [{a:1, b:2}] must see [{a:0, a:1, b:2}] as a change, or the
+   memo replays a verdict over a value the interpreter no longer
+   reads. *)
+let test_duplicate_key_is_a_change () =
+  let plan = Compile.plan () in
+  let t = Compile.compile_tracked plan (parse "x.a = 1") in
+  let memo = Compile.make_memo plan in
+  let frame = Compile.memo_frame plan memo in
+  let env members = Eval.env_of_bindings [ ("x", Json.Obj members) ] in
+  let judge members =
+    let env = env members in
+    ignore (Compile.refresh plan memo frame env ~sync);
+    let memoized =
+      if Compile.cached memo t then Compile.cached_value memo t
+      else Compile.eval t.Compile.run frame
+    in
+    Alcotest.(check bool)
+      "memoized verdict is the interpreter's" true
+      (Value.truth memoized = Eval.check env (parse "x.a = 1"))
+  in
+  judge [ ("a", Json.int 1); ("b", Json.int 2) ];
+  judge [ ("a", Json.int 0); ("a", Json.int 1); ("b", Json.int 2) ]
+
 (* ---- strict disjunction ---- *)
 
 let test_strict_disjunction_equivalence () =
@@ -269,7 +293,9 @@ let () =
         [ Alcotest.test_case "change invalidates dependents only" `Quick
             test_change_invalidates_dependents_only;
           Alcotest.test_case "replay equals re-evaluation" `Quick
-            test_replay_equals_reevaluation
+            test_replay_equals_reevaluation;
+          Alcotest.test_case "a duplicate key's first binding is a change"
+            `Quick test_duplicate_key_is_a_change
         ] );
       ( "strict-disjunction",
         [ Alcotest.test_case "kleene equivalence" `Quick

@@ -77,6 +77,23 @@ let parser_tests =
         let doc = Parser.parse_exn {|{"k": 1, "k": 2}|} in
         Alcotest.check (Alcotest.option json_testable) "first wins"
           (Some (Json.Int 1)) (Json.member "k" doc));
+    Alcotest.test_case "duplicate keys compare by first occurrence" `Quick
+      (fun () ->
+        let a0 = ("a", Json.Int 0) and a1 = ("a", Json.Int 1) in
+        let b2 = ("b", Json.Int 2) in
+        List.iter
+          (fun members ->
+            let doc = Json.Obj members in
+            Alcotest.check json_testable "sorted keeps the first binding"
+              (Json.Obj [ a0; b2 ]) (Json.sort_keys doc);
+            Alcotest.(check bool) "equal to its first bindings" true
+              (Json.equal doc (Json.Obj [ a0; b2 ]));
+            Alcotest.(check bool) "unequal to a later binding" false
+              (Json.equal doc (Json.Obj [ a1; b2 ]));
+            Alcotest.check (Alcotest.option json_testable)
+              "sorted form agrees with member" (Json.member "a" doc)
+              (Json.member "a" (Json.sort_keys doc)))
+          [ [ a0; a1; b2 ]; [ b2; a0; a1 ]; [ a0; b2; a1 ] ]);
     Alcotest.test_case "errors" `Quick (fun () ->
         parse_err "" ();
         parse_err "{" ();
@@ -176,6 +193,19 @@ let merge_patch_tests =
         check_mp "non-object patch replaces" {|{"a":"b"}|} {|["c"]|} {|["c"]|};
         check_mp "object over scalar" {|{"a":"b"}|} {|{"a":{"c":1}}|}
           {|{"a":{"c":1}}|});
+    Alcotest.test_case "a patched key loses every binding" `Quick (fun () ->
+        let target =
+          Json.Obj [ ("a", Json.Int 0); ("b", Json.Int 2); ("a", Json.Int 1) ]
+        in
+        let patch text = Parser.parse_exn text in
+        let patched = Json.merge_patch target ~patch:(patch {|{"a":5}|}) in
+        Alcotest.check (Alcotest.option json_testable) "member reads the patch"
+          (Some (Json.Int 5)) (Json.member "a" patched);
+        Alcotest.(check (list string)) "one binding of the key is left"
+          [ "b"; "a" ] (Json.keys patched);
+        Alcotest.(check (list string)) "deleting removes them all" [ "b" ]
+          (Json.keys
+             (Json.merge_patch target ~patch:(patch {|{"a":null}|}))));
     Alcotest.test_case "patching null/absent creates" `Quick (fun () ->
         Alcotest.check json_testable "from null"
           (Parser.parse_exn {|{"k":1}|})

@@ -696,41 +696,51 @@ let reference_tests =
 
 let tenant_name name = if name = "project" then "tenant" else name
 
-let tenant_resources =
-  let open Cm_uml.Resource_model in
-  let r = Cinder.resources in
-  { r with
-    resources =
-      List.map (fun d -> { d with def_name = tenant_name d.def_name })
-        r.resources;
-    associations =
-      List.map
-        (fun a ->
-          { a with
-            source = tenant_name a.source;
-            target = tenant_name a.target
-          })
-        r.associations
-  }
+(* A fresh copy on every call: the monitor's generation memo is keyed
+   on the models' physical identity, so each copy is a triple no earlier
+   create has generated. *)
+let tenant_models () =
+  let resources =
+    let open Cm_uml.Resource_model in
+    let r = Cinder.resources in
+    { r with
+      resources =
+        List.map (fun d -> { d with def_name = tenant_name d.def_name })
+          r.resources;
+      associations =
+        List.map
+          (fun a ->
+            { a with
+              source = tenant_name a.source;
+              target = tenant_name a.target
+            })
+          r.associations
+    }
+  in
+  let behavior =
+    let rename =
+      Cm_ocl.Ast.map_vars (fun v -> Cm_ocl.Ast.Var (tenant_name v))
+    in
+    let b = Cinder.behavior in
+    { b with
+      BM.context = tenant_name b.BM.context;
+      states =
+        List.map
+          (fun (st : BM.state) -> { st with invariant = rename st.invariant })
+          b.states;
+      transitions =
+        List.map
+          (fun (tr : BM.transition) ->
+            { tr with
+              guard = Option.map rename tr.guard;
+              effect = Option.map rename tr.effect
+            })
+          b.transitions
+    }
+  in
+  (resources, behavior)
 
-let tenant_behavior =
-  let rename = Cm_ocl.Ast.map_vars (fun v -> Cm_ocl.Ast.Var (tenant_name v)) in
-  let b = Cinder.behavior in
-  { b with
-    BM.context = tenant_name b.BM.context;
-    states =
-      List.map
-        (fun (st : BM.state) -> { st with invariant = rename st.invariant })
-        b.states;
-    transitions =
-      List.map
-        (fun (tr : BM.transition) ->
-          { tr with
-            guard = Option.map rename tr.guard;
-            effect = Option.map rename tr.effect
-          })
-        b.transitions
-  }
+let tenant_resources, tenant_behavior = tenant_models ()
 
 let tenant_tests =
   [ Alcotest.test_case "renamed tenant: production = reference" `Quick
@@ -807,7 +817,46 @@ let tenant_tests =
           (findings tenant_resources tenant_behavior))
   ]
 
-(* ---- one derivation per pool ---- *)
+(* ---- one generation per model triple ---- *)
+
+let create_exn config backend =
+  match Monitor.create config backend with
+  | Ok monitor -> monitor
+  | Error msgs -> Alcotest.fail (String.concat "; " msgs)
+
+(* The standard trace on a fresh cloud through [make]'s monitor. *)
+let standard_keys make =
+  let fx = fixture () in
+  let tokens = [ ("alice", fx.alice); ("bob", fx.bob); ("carol", fx.carol) ] in
+  Cm_mutation.Scenario.run_trace
+    { cloud = fx.cloud;
+      monitor = make fx;
+      tokens;
+      clock = Cm_core.Clock.create ();
+      chaos = None
+    }
+    Cm_workload.Workload.standard_trace
+  |> List.map Cm_proptest.Oracle.strict_outcome_key
+
+let zero_stats m =
+  Monitor.cache_stats m
+  = Some Cm_monitor.Obs_cache.{ hits = 0; misses = 0; invalidated = 0 }
+  && Monitor.eval_stats m
+     = Cm_contracts.Runtime.
+         { evals = 0;
+           replays = 0;
+           node_hits = 0;
+           node_evals = 0;
+           refreshes = 0;
+           slots_changed = 0
+         }
+  && List.for_all (fun (_, n) -> n = 0) (Monitor.coverage m)
+
+let serve_volumes fx m =
+  ignore
+    (Monitor.handle m
+       (Request.make Meth.GET "/v3/myProject/volumes"
+       |> Request.with_auth_token fx.alice))
 
 let derivation_tests =
   [ Alcotest.test_case "replicas share one derivation" `Quick (fun () ->
@@ -826,12 +875,12 @@ let derivation_tests =
               true
               (List.for_all2 ( == ) first (Monitor.contracts (replica i)))
           done;
+          (* ... and so does every other create over the same models *)
+          Alcotest.(check bool) "the fixture's contracts are the pool's" true
+            (List.for_all2 ( == ) first (Monitor.contracts fx.monitor));
           (* ... and no run-time state: an exchange on replica 1 leaves
-             replica 0's coverage and cache untouched *)
-          ignore
-            (Monitor.handle (replica 1)
-               (Request.make Meth.GET "/v3/myProject/volumes"
-               |> Request.with_auth_token fx.alice));
+             replica 0's coverage, memo frames and cache untouched *)
+          serve_volumes fx (replica 1);
           let exercised m =
             List.exists (fun (_, n) -> n > 0) (Monitor.coverage m)
           in
@@ -842,7 +891,120 @@ let derivation_tests =
           Alcotest.(check bool) "replica 0's cache is untouched" true
             (Monitor.cache_stats (replica 0)
             = Some
-                Cm_monitor.Obs_cache.{ hits = 0; misses = 0; invalidated = 0 }))
+                Cm_monitor.Obs_cache.{ hits = 0; misses = 0; invalidated = 0 });
+          Alcotest.(check bool) "replica 0's state is all zero" true
+            (zero_stats (replica 0)));
+    Alcotest.test_case "independent creates share one generation" `Quick
+      (fun () ->
+        let fx = fixture () in
+        let resources, behavior = tenant_models () in
+        let config =
+          Monitor.default_config ~service_token:fx.service ~security resources
+            behavior
+        in
+        let backend = Cloud.handle fx.cloud in
+        let timed_create () =
+          let before = Gc.minor_words () in
+          let m = create_exn config backend in
+          (m, Gc.minor_words () -. before)
+        in
+        let first, generated = timed_create () in
+        let second, instantiated = timed_create () in
+        Alcotest.(check bool) "the second create's contracts are the first's"
+          true
+          (List.for_all2 ( == ) (Monitor.contracts first)
+             (Monitor.contracts second));
+        Alcotest.(check bool)
+          (Printf.sprintf
+             "the second create allocates %.0f words, under 5%% of the \
+              first's %.0f"
+             instantiated generated)
+          true
+          (instantiated < 0.05 *. generated);
+        serve_volumes fx first;
+        Alcotest.(check bool) "the first monitor served" false
+          (zero_stats first);
+        Alcotest.(check bool)
+          "the second's coverage, eval stats and cache are still zero" true
+          (zero_stats second));
+    Alcotest.test_case "the generation memo pins no model" `Quick (fun () ->
+        let fx = fixture () in
+        let backend = Cloud.handle fx.cloud in
+        let create resources behavior =
+          create_exn
+            (Monitor.default_config ~service_token:fx.service ~security
+               resources behavior)
+            backend
+        in
+        let round () =
+          let resources, behavior = tenant_models () in
+          serve_volumes fx (create resources behavior)
+        in
+        let live_words () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        (* one generation's size: a fresh triple and its monitor, held *)
+        let generation =
+          let base = live_words () in
+          let resources, behavior = tenant_models () in
+          let monitor = create resources behavior in
+          let held = live_words () - base in
+          ignore (Sys.opaque_identity (resources, behavior, monitor));
+          held
+        in
+        round ();
+        let before = live_words () in
+        for _ = 1 to 200 do
+          round ()
+        done;
+        let grown = live_words () - before in
+        (* the fixture's own monitor and cloud stay live past the reading *)
+        ignore (Sys.opaque_identity fx);
+        Alcotest.(check bool)
+          (Printf.sprintf
+             "live heap grew %d words over 200 generations, under one \
+              generation's %d"
+             grown generation)
+          true (grown < generation));
+    Alcotest.test_case "racing creates over one fresh triple" `Quick
+      (fun () ->
+        let resources, behavior = tenant_models () in
+        let make fx =
+          create_exn
+            (Monitor.default_config ~service_token:fx.service ~security
+               resources behavior)
+            (Cloud.handle fx.cloud)
+        in
+        let arrived = Atomic.make 0 in
+        let racer () =
+          let contracts = ref [] in
+          let keys =
+            standard_keys (fun fx ->
+                Atomic.incr arrived;
+                while Atomic.get arrived < 2 do
+                  Domain.cpu_relax ()
+                done;
+                let monitor = make fx in
+                contracts := Monitor.contracts monitor;
+                monitor)
+          in
+          (!contracts, keys)
+        in
+        let domains = List.init 2 (fun _ -> Domain.spawn racer) in
+        let raced = List.map Domain.join domains in
+        let single = standard_keys make in
+        (match raced with
+         | [ (first, _); (second, _) ] ->
+           Alcotest.(check bool) "the racers share one generation" true
+             (List.for_all2 ( == ) first second)
+         | _ -> assert false);
+        List.iteri
+          (fun i (_, keys) ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "domain %d's outcomes are a single domain's" i)
+              single keys)
+          raced)
   ]
 
 (* ---- pinned exchange output ----
